@@ -26,12 +26,12 @@ from .spectral import (
     LaplacianSpectrum,
     complete_graph_lambda2,
     fragility_metrics,
+    lambda2,
     laplacian,
     mixing_time,
     normalized_laplacian,
     quadratic_form,
     spectral_centralities,
-    spectral_centrality,
     spectrum,
     spectrum_of,
 )
@@ -95,6 +95,7 @@ __all__ = [
     "evolve_forced",
     "fragility_metrics",
     "greedy_deleverage",
+    "lambda2",
     "laplacian",
     "load_panel",
     "make_series",
@@ -106,7 +107,6 @@ __all__ = [
     "policy_calculators",
     "quadratic_form",
     "spectral_centralities",
-    "spectral_centrality",
     "spectrum",
     "spectrum_of",
     "subgroup_lambda2",

@@ -41,6 +41,7 @@ from .network import (
 from .panel import load_panel, synthesize_panel, write_panel, _fmt
 from .spectral import (
     fragility_metrics,
+    lambda2,
     mixing_time,
     spectral_centralities,
     spectrum_of,
@@ -269,7 +270,7 @@ def cmd_did(args) -> int:
             if year not in panel.records:
                 raise InputError(f"panel lacks year {year}")
             graph = symmetrize(allocate(panel.records[year], args.method), year)
-            values[year] = spectrum_of(graph).lambda2()
+            values[year] = lambda2(graph.weights)
     else:
         raise InputError("did needs --input or --series")
     missing = [y for y in pre + post if y not in values]
@@ -403,40 +404,54 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, out_required: bool = True) -> None:
-        p.add_argument("--input", help="input file (panel CSV unless noted)")
-        p.add_argument("--out", required=out_required, help="output directory")
+    def add_io(
+        p: argparse.ArgumentParser, input_help: str = "bank panel CSV", required: bool = False
+    ) -> None:
+        p.add_argument("--input", required=required, help=input_help)
+        p.add_argument("--out", required=True, help="output directory")
+
+    def add_method(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--method",
             choices=["equal", "size", "exposure"],
             default="equal",
             help="allocation method (default: equal)",
         )
+
+    def add_seed(p: argparse.ArgumentParser) -> None:
         p.add_argument("--seed", type=int, default=42, help="random seed (default: 42)")
-        p.add_argument(
-            "--bootstrap-b", type=int, default=0, help="bootstrap replications (0 disables)"
-        )
-        p.add_argument(
-            "--epsilon",
-            type=float,
-            default=math.exp(-1.0),
-            help="mixing-time threshold (default: 1/e)",
-        )
+
+    def add_series(p: argparse.ArgumentParser) -> None:
         p.add_argument("--series", help="CSV of year,lambda2 overriding network construction")
 
     p_build = sub.add_parser("build", help="reconstruct per-year networks from a panel")
-    common(p_build)
+    add_io(p_build, required=True)
+    add_method(p_build)
     p_build.set_defaults(func=cmd_build)
 
     p_analyze = sub.add_parser("analyze", help="fragility metrics and centrality tables")
-    common(p_analyze)
+    add_io(p_analyze)
+    add_method(p_analyze)
+    p_analyze.add_argument(
+        "--epsilon",
+        type=float,
+        default=math.exp(-1.0),
+        help="mixing-time threshold (default: 1/e)",
+    )
+    add_series(p_analyze)
     p_analyze.add_argument(
         "--spectra", action="store_true", help="also export per-year eigenvalue JSON"
     )
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_did = sub.add_parser("did", help="treatment-effect estimates on the lambda2 series")
-    common(p_did)
+    add_io(p_did)
+    add_method(p_did)
+    add_seed(p_did)
+    p_did.add_argument(
+        "--bootstrap-b", type=int, default=0, help="bootstrap replications (0 disables)"
+    )
+    add_series(p_did)
     p_did.add_argument("--pre", default=DEFAULT_PRE, help="comma-separated pre years")
     p_did.add_argument("--post", default=DEFAULT_POST, help="comma-separated post years")
     p_did.add_argument(
@@ -448,12 +463,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_did.set_defaults(func=cmd_did)
 
     p_stress = sub.add_parser("stress", help="cascade stress test on a built network")
-    common(p_stress)
+    add_io(p_stress, input_help="edge-list CSV written by build", required=True)
     p_stress.add_argument("--scenario", help="scenario JSON path")
     p_stress.set_defaults(func=cmd_stress)
 
     p_synth = sub.add_parser("synth", help="generate a calibrated synthetic panel")
-    common(p_synth)
+    p_synth.add_argument("--out", required=True, help="output CSV path or directory")
+    add_seed(p_synth)
     p_synth.add_argument("--calib", help="JSON calibration (year -> n_banks/total_exposure/country_list)")
     p_synth.add_argument(
         "--sigma", type=float, default=1.0, help="log-normal exposure dispersion (default: 1)"
@@ -468,7 +484,8 @@ _METHOD_NAMES = {"equal": "equal", "size": "size_weighted", "exposure": "exposur
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.method = _METHOD_NAMES[args.method]
+    if hasattr(args, "method"):
+        args.method = _METHOD_NAMES[args.method]
     try:
         return args.func(args)
     except InputError as exc:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, InputError
 from .network import WeightedGraph
-from .spectral import DISCONNECT_TOL, LaplacianSpectrum, spectrum_of
+from .spectral import DISCONNECT_TOL, LaplacianSpectrum, lambda2, spectrum_of
 
 
 @dataclass
@@ -168,10 +168,9 @@ def cascade_stress_test(
         raise DomainError("all capitals must be positive")
     shock.validate(graph.n)
 
-    pre_lambda2 = spectrum_of(graph).lambda2()
     live = list(range(graph.n))
-    sub = graph
-    spec = spectrum_of(sub)
+    spec = spectrum_of(graph)
+    pre_lambda2 = spec.lambda2()
     x = np.zeros(len(live))
     f_full = np.asarray(shock.vector, dtype=float)
 
@@ -207,13 +206,10 @@ def cascade_stress_test(
             x = x[keep]
             if not live:
                 break
-            sub = graph.subgraph(live)
-            spec = spectrum_of(sub)
+            spec = spectrum_of(graph.subgraph(live))
 
-    if len(live) >= 2:
-        post_lambda2 = spectrum_of(graph.subgraph(live)).lambda2()
-    else:
-        post_lambda2 = 0.0
+    # spec is the survivors' decomposition whenever any bank survives
+    post_lambda2 = spec.lambda2() if len(live) >= 2 else 0.0
 
     return CascadeResult(
         failed=failed,
@@ -285,11 +281,11 @@ def greedy_deleverage(
                 # never push a counterparty's overshoot beyond one step
                 if remaining[j] - cut < -step * (1 + 1e-9):
                     continue
-                w[i, j] -= cut
-                w[j, i] -= cut
-                lam2 = spectrum_of(WeightedGraph(graph.banks, w, graph.year)).lambda2()
-                w[i, j] += cut
-                w[j, i] += cut
+                # try the cut in place, then put back the exact input weight
+                old = w[i, j]
+                w[i, j] = w[j, i] = old - cut
+                lam2 = lambda2(w)
+                w[i, j] = w[j, i] = old
                 if lam2 < best_lambda * (1 - 1e-12):
                     best_lambda = lam2
                     best = (int(i), int(j), cut)
@@ -304,8 +300,8 @@ def greedy_deleverage(
 
     result = WeightedGraph(list(graph.banks), w, graph.year)
     baseline = _proportional_cut(graph, target)
-    lam_out = spectrum_of(result).lambda2()
-    lam_base = spectrum_of(baseline).lambda2()
+    lam_out = lambda2(w)
+    lam_base = lambda2(baseline.weights)
     if lam_out > lam_base * (1 + 1e-9):
         warnings.warn(
             f"greedy deleveraging ended above the proportional baseline "
@@ -327,8 +323,24 @@ def _proportional_cut(graph: WeightedGraph, target: np.ndarray) -> WeightedGraph
     return WeightedGraph(list(graph.banks), w, graph.year)
 
 
+def _scenario_number(path: Path, field: str, value) -> float:
+    """A finite JSON number, or an InputError naming the file and the field."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an integer beyond the float range
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise InputError(f"{path}: scenario field {field} must be a finite number, got {value!r}")
+
+
 def load_scenario(path: str | Path, graph: WeightedGraph) -> tuple[ForcingSpec, dict[str, float], float, float]:
-    """Parse a scenario JSON: shock map, onset, horizon, dt, capitals map."""
+    """Parse a scenario JSON: shock map, onset, horizon, dt, capitals map.
+
+    Every value must be a finite JSON number; strings, booleans, NaN and
+    infinities are rejected with the file and the field named.
+    """
     path = Path(path)
     if not path.exists():
         raise InputError(f"input file not found: {path}")
@@ -336,11 +348,15 @@ def load_scenario(path: str | Path, graph: WeightedGraph) -> tuple[ForcingSpec, 
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: a scenario must be a JSON object")
     for key in ("shock", "horizon", "dt", "capitals"):
         if key not in doc:
             raise InputError(f"{path}: missing scenario field {key!r}")
     known = set(graph.banks)
     for section in ("shock", "capitals"):
+        if not isinstance(doc[section], dict):
+            raise InputError(f"{path}: scenario field {section!r} must map banks to numbers")
         unknown = set(doc[section]) - known
         if unknown:
             raise InputError(
@@ -351,10 +367,13 @@ def load_scenario(path: str | Path, graph: WeightedGraph) -> tuple[ForcingSpec, 
         raise InputError(
             f"{path}: capitals missing for banks: {', '.join(sorted(uncovered))}"
         )
-    vector = np.array([float(doc["shock"].get(b, 0.0)) for b in graph.banks])
-    forcing = ForcingSpec(vector, onset=float(doc.get("onset", 0.0)))
-    capitals = {b: float(v) for b, v in doc["capitals"].items()}
-    return forcing, capitals, float(doc["horizon"]), float(doc["dt"])
+    shock = {b: _scenario_number(path, f"shock[{b!r}]", v) for b, v in doc["shock"].items()}
+    capitals = {b: _scenario_number(path, f"capitals[{b!r}]", v) for b, v in doc["capitals"].items()}
+    onset, horizon, dt = (
+        _scenario_number(path, repr(key), doc.get(key, 0.0)) for key in ("onset", "horizon", "dt")
+    )
+    vector = np.array([shock.get(b, 0.0) for b in graph.banks])
+    return ForcingSpec(vector, onset=onset), capitals, horizon, dt
 
 
 def cascade_to_json(result: CascadeResult, path: str | Path) -> None:

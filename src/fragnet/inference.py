@@ -15,12 +15,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, InputError
 from .network import WeightedGraph, allocate_arrays, year_arrays
 from .panel import ExposurePanel
-from .spectral import DISCONNECT_TOL
+from .spectral import lambda2
 
 
 @dataclass
@@ -191,9 +190,8 @@ def subgroup_lambda2(graph: WeightedGraph, members: set[str]) -> float:
     if len(members) < 2:
         raise DomainError("a subgroup needs at least 2 banks")
     keep = sorted(graph.index(b) for b in members)
-    from .spectral import spectrum_of
-
-    return spectrum_of(graph.subgraph(keep)).lambda2()
+    graph.validate()
+    return lambda2(graph.weights[np.ix_(keep, keep)])
 
 
 def consolidation_elasticity(stats_a: dict, stats_b: dict) -> dict[str, float]:
@@ -262,16 +260,6 @@ def policy_calculators(
     return {"buffers": buffers, "alpha_t": alpha_t, "flagged_edges": flagged}
 
 
-def _lambda2_of_weights(w: np.ndarray) -> float:
-    lap = -w
-    np.fill_diagonal(lap, 0.0)
-    np.fill_diagonal(lap, w.sum(axis=1))
-    lam = scipy.linalg.eigh(lap, eigvals_only=True)
-    if lam[-1] <= 0 or lam[1] < DISCONNECT_TOL * lam[-1]:
-        return 0.0
-    return float(lam[1])
-
-
 def bootstrap_did(
     panel: ExposurePanel,
     B: int,
@@ -320,16 +308,10 @@ def bootstrap_did(
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(master, b)))
         lam2 = {}
         for y in all_years:
-            n_t = sizes[y]
-            for attempt in range(100):
-                idx = rng.integers(0, n_t, size=n_t)
-                if idx.size >= 2:
-                    break
-            else:
-                raise DomainError(f"year {y}: could not draw a 2-bank resample")
+            # year_arrays guarantees n_t >= 2, so every draw is a network
+            idx = rng.integers(0, sizes[y], size=sizes[y])
             entries, _ = allocate_arrays(arrays[y], method, idx)
-            w = (entries + entries.T) / 2.0
-            lam2[y] = _lambda2_of_weights(w)
+            lam2[y] = lambda2((entries + entries.T) / 2.0)
         if variant == "level":
             alpha_b = sum(lam2[y] for y in pre_years) / n_pre
             for y in post_years:

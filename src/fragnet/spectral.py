@@ -1,10 +1,12 @@
-"""Graph Laplacians, dense symmetric eigendecomposition, fragility metrics.
+"""Graph Laplacians, dense symmetric eigensolves, fragility metrics.
 
-The networks here are small and complete, and the bootstrap asks for the
-second eigenvalue thousands of times, so everything runs through a full
-dense decomposition (LAPACK via scipy.linalg.eigh). A graph counts as
-disconnected when lambda2 < DISCONNECT_TOL * lambda_n; floating-point zero
-eigenvalues are never exact.
+The networks here are small and complete, so every solve is a dense LAPACK
+call (scipy.linalg.eigh) and this is the only module that makes one.
+Most callers need only lambda2 or the eigenvalues: `lambda2(weights)` and
+`fragility_metrics` ask the solver for eigenvalues alone. Eigenvectors are
+computed only by `spectrum`/`spectrum_of`, for diffusion and for export.
+A graph counts as disconnected when lambda2 < DISCONNECT_TOL * lambda_n;
+floating-point zero eigenvalues are never exact.
 """
 
 from __future__ import annotations
@@ -58,12 +60,11 @@ class LaplacianSpectrum:
         return float(self.eigenvalues[-1])
 
     def is_connected(self) -> bool:
-        lam = self.eigenvalues
-        return lam[-1] > 0 and lam[1] >= DISCONNECT_TOL * lam[-1]
+        return _connected(self.eigenvalues)
 
     def lambda2(self) -> float:
         """Algebraic connectivity; 0 for a disconnected graph."""
-        return float(self.eigenvalues[1]) if self.is_connected() else 0.0
+        return _lambda2_of(self.eigenvalues)
 
     def zero_multiplicity(self) -> int:
         lam = self.eigenvalues
@@ -85,12 +86,51 @@ class FragilityMetrics:
     connected: bool
 
 
+def _connected(lam: np.ndarray) -> bool:
+    """The disconnect rule on ascending eigenvalues."""
+    return bool(lam[-1] > 0 and lam[1] >= DISCONNECT_TOL * lam[-1])
+
+
+def _lambda2_of(lam: np.ndarray) -> float:
+    return float(lam[1]) if _connected(lam) else 0.0
+
+
+def _laplacian_entries(weights: np.ndarray) -> np.ndarray:
+    entries = -weights
+    np.fill_diagonal(entries, weights.sum(axis=1))
+    return entries
+
+
+def _normalized_entries(weights: np.ndarray, d: np.ndarray) -> np.ndarray:
+    s = 1.0 / np.sqrt(d)
+    scaled = weights * s[:, None] * s[None, :]
+    scaled = (scaled + scaled.T) / 2.0
+    return np.eye(len(d)) - scaled
+
+
+def _eigh(entries: np.ndarray, eigvals_only: bool):
+    try:
+        return scipy.linalg.eigh(entries, eigvals_only=eigvals_only)
+    except scipy.linalg.LinAlgError as exc:
+        raise DomainError(
+            f"eigensolver failed to converge within its iteration budget: {exc}"
+        ) from exc
+
+
+def lambda2(weights: np.ndarray) -> float:
+    """Algebraic connectivity of L = D - W from its eigenvalues alone; 0 for
+    a disconnected graph.
+
+    The weights are taken as given (square, symmetric, non-negative): public
+    entry points validate their graph once, not once per solve.
+    """
+    return _lambda2_of(_eigh(_laplacian_entries(weights), eigvals_only=True))
+
+
 def laplacian(graph: WeightedGraph) -> LaplacianMatrix:
     """Standard form L = D - A with D the diagonal of row sums."""
     graph.validate()
-    entries = -graph.weights.copy()
-    np.fill_diagonal(entries, graph.degrees())
-    return LaplacianMatrix(entries, list(graph.banks), normalized=False)
+    return LaplacianMatrix(_laplacian_entries(graph.weights), list(graph.banks), normalized=False)
 
 
 def normalized_laplacian(graph: WeightedGraph) -> LaplacianMatrix:
@@ -100,11 +140,7 @@ def normalized_laplacian(graph: WeightedGraph) -> LaplacianMatrix:
     if np.any(d <= 0):
         isolated = graph.banks[int(np.argmin(d))]
         raise DomainError(f"isolated bank {isolated} has zero degree")
-    s = 1.0 / np.sqrt(d)
-    scaled = graph.weights * s[:, None] * s[None, :]
-    scaled = (scaled + scaled.T) / 2.0
-    entries = np.eye(graph.n) - scaled
-    return LaplacianMatrix(entries, list(graph.banks), normalized=True)
+    return LaplacianMatrix(_normalized_entries(graph.weights, d), list(graph.banks), normalized=True)
 
 
 def spectrum(lap: LaplacianMatrix) -> LaplacianSpectrum:
@@ -115,12 +151,7 @@ def spectrum(lap: LaplacianMatrix) -> LaplacianSpectrum:
     solver returns; callers must compare projectors, not raw columns.
     """
     lap.validate()
-    try:
-        lam, vec = scipy.linalg.eigh(lap.entries)
-    except scipy.linalg.LinAlgError as exc:
-        raise DomainError(
-            f"eigensolver failed to converge within its iteration budget: {exc}"
-        ) from exc
+    lam, vec = _eigh(lap.entries, eigvals_only=False)
     for k in range(vec.shape[1]):
         col = vec[:, k]
         nz = np.nonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0]
@@ -145,46 +176,51 @@ def pseudo_inverse(spec: LaplacianSpectrum) -> np.ndarray:
 
 
 def resistance_distances(spec: LaplacianSpectrum) -> np.ndarray:
-    """Pairwise resistance distances r_ij = P_ii + P_jj - 2 P_ij."""
+    """Pairwise resistance distances r_ij = P_ii + P_jj - 2 P_ij.
+
+    `fragility_metrics` needs only their mean, which it takes from the
+    eigenvalues; this matrix route is the pairwise reference.
+    """
     p = pseudo_inverse(spec)
     d = np.diag(p)
     return d[:, None] + d[None, :] - 2.0 * p
 
 
 def fragility_metrics(graph: WeightedGraph) -> FragilityMetrics:
-    """Every per-network fragility measure from one standard and one
-    normalized decomposition.
+    """Every per-network fragility measure from the eigenvalues of the
+    standard and the normalized Laplacian.
 
-    Disconnection is a reported state, not an error: lambda2 comes back 0
-    with connected=False and the resistance-based fields are infinite.
+    The mean resistance distance comes from the Kirchhoff index identity
+    sum_{i<j} r_ij = n * sum_{k>=2} 1/lambda_k (Gutman & Mohar 1996), so no
+    pseudo-inverse is formed. Disconnection is a reported state, not an
+    error: lambda2 comes back 0 with connected=False and the
+    resistance-based fields are infinite.
     """
-    spec = spectrum_of(graph)
-    lam = spec.eigenvalues
+    graph.validate()
+    lam = _eigh(_laplacian_entries(graph.weights), eigvals_only=True)
     n = graph.n
-    connected = spec.is_connected()
-    lambda2 = spec.lambda2()
-    lambda_n = spec.lambda_max
+    connected = _connected(lam)
+    lam2 = _lambda2_of(lam)
+    lambda_n = float(lam[-1])
 
     if connected:
         eff = float(np.sum(1.0 / lam[1:]))
-        r = resistance_distances(spec)
-        iu = np.triu_indices(n, k=1)
-        avg_r = float(2.0 * r[iu].sum() / (n * (n - 1)))
-        ratio = lambda_n / lambda2
+        avg_r = 2.0 * eff / (n - 1)
+        ratio = lambda_n / lam2
     else:
         eff = math.inf
         avg_r = math.inf
         ratio = math.inf
 
-    if np.all(graph.degrees() > 0):
-        nspec = spectrum(normalized_laplacian(graph))
-        norm_l2 = nspec.lambda2()
+    d = graph.degrees()
+    if np.all(d > 0):
+        norm_l2 = _lambda2_of(_eigh(_normalized_entries(graph.weights, d), eigvals_only=True))
     else:
         norm_l2 = math.nan
 
     return FragilityMetrics(
-        lambda2=lambda2,
-        spectral_gap=lambda2,
+        lambda2=lam2,
+        spectral_gap=lam2,
         lambda3=float(lam[2]) if n >= 3 else math.nan,
         spectral_radius=lambda_n,
         radius_ratio=ratio,
@@ -204,28 +240,22 @@ def mixing_time(lambda2: float, epsilon: float) -> float:
     return -math.log(epsilon) / lambda2
 
 
-def spectral_centrality(graph: WeightedGraph, bank: str) -> float:
-    """Drop in algebraic connectivity when the bank and its edges are removed.
+def spectral_centralities(graph: WeightedGraph) -> dict[str, float]:
+    """Drop in algebraic connectivity when each bank and its edges are
+    removed; needs n >= 3.
 
-    If the remainder is disconnected its lambda2 counts as 0, so the
+    If a remainder is disconnected its lambda2 counts as 0, so that bank's
     centrality equals the full graph's lambda2.
     """
     if graph.n < 3:
         raise DomainError("spectral centrality needs at least 3 banks")
-    i = graph.index(bank)
-    keep = [k for k in range(graph.n) if k != i]
-    return spectrum_of(graph).lambda2() - spectrum_of(graph.subgraph(keep)).lambda2()
-
-
-def spectral_centralities(graph: WeightedGraph) -> dict[str, float]:
-    """Spectral centrality of every bank; needs n >= 3."""
-    if graph.n < 3:
-        raise DomainError("spectral centrality needs at least 3 banks")
-    base = spectrum_of(graph).lambda2()
+    graph.validate()
+    w = graph.weights
+    base = lambda2(w)
     out: dict[str, float] = {}
     for i, bank in enumerate(graph.banks):
         keep = [k for k in range(graph.n) if k != i]
-        out[bank] = base - spectrum_of(graph.subgraph(keep)).lambda2()
+        out[bank] = base - lambda2(w[np.ix_(keep, keep)])
     return out
 
 

@@ -193,6 +193,21 @@ def test_unknown_method_rejected_by_parser(tmp_path):
     assert exc.value.code == 2
 
 
+def test_subcommands_reject_flags_they_do_not_honour(tmp_path):
+    out = str(tmp_path / "o")
+    for argv in (
+        ["build", "--input", "x.csv", "--out", out, "--bootstrap-b", "500"],
+        ["build", "--input", "x.csv", "--out", out, "--series", "s.csv"],
+        ["stress", "--input", "e.csv", "--out", out, "--method", "size"],
+        ["synth", "--out", out, "--input", "x.csv"],
+        ["analyze", "--input", "x.csv", "--out", out, "--seed", "3"],
+        ["build", "--out", out],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+
+
 def test_synth_calibration_errors(tmp_path, capsys):
     rc = main(["synth", "--calib", str(tmp_path / "gone.json"), "--out", str(tmp_path / "p.csv")])
     assert rc == 2
@@ -268,6 +283,20 @@ def test_stress_command_runs_scenario(tmp_path):
     # failing bank still appears in the snapshot where it crossed its capital
     assert len(trajectory) == 4 * 4 + 3 * 3 + 4 * 2
     assert {r["bank"] for r in trajectory[-4:]} == {"C", "D"}
+
+
+def test_stress_rejects_non_finite_scenario_values(tmp_path, capsys):
+    g = graph_of([[0, 1], [1, 0]], banks=["A", "B"])
+    edges = tmp_path / "edges.csv"
+    graph_to_edge_csv(g, edges)
+    good = {"shock": {"A": 1.0}, "horizon": 2.0, "dt": 0.2, "capitals": {"A": 1.0, "B": 1.0}}
+    for field, value in (("horizon", "nan"), ("capitals", {"A": "nan", "B": 1.0})):
+        scenario = tmp_path / f"bad_{field}.json"
+        scenario.write_text(json.dumps({**good, field: value}), encoding="utf-8")
+        rc = main(["stress", "--input", str(edges), "--scenario", str(scenario), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert scenario.name in err and field in err
 
 
 def test_stress_requires_scenario(tmp_path, capsys):

@@ -21,7 +21,10 @@ from fragnet.diffusion import (
     greedy_deleverage,
     load_scenario,
 )
+from fragnet.cli import DEFAULT_CALIBRATION
 from fragnet.errors import DomainError, InputError
+from fragnet.network import build_graph
+from fragnet.panel import synthesize_panel
 from fragnet.spectral import mixing_time, pseudo_inverse, spectrum_of
 
 
@@ -382,6 +385,15 @@ def test_greedy_overshoot_never_exceeds_one_step(rng):
         assert np.allclose(out.weights, out.weights.T)
 
 
+def test_greedy_trial_cuts_restore_exact_weights():
+    # trial cuts undone by adding the cut back left uncut edges a few ulps
+    # above their input; no edge may ever grow
+    g = build_graph(synthesize_panel({2014: DEFAULT_CALIBRATION[2014]}, seed=42), 2014)
+    target = 0.01 * float(g.degrees()[1])
+    out = greedy_deleverage(g, {g.banks[1]: target}, step=target / 3)
+    assert np.all(out.weights <= g.weights)
+
+
 def test_greedy_error_cases():
     g = complete_graph(3, 1.0)
     with pytest.raises(DomainError):
@@ -455,6 +467,29 @@ def test_load_scenario_errors(tmp_path):
     uncovered.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(InputError, match="D"):
         load_scenario(uncovered, g)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("horizon", "nan"),
+        ("horizon", float("nan")),
+        ("dt", "0.2"),
+        ("onset", float("inf")),
+        ("onset", True),
+        ("shock", {"A": None}),
+        ("capitals", {"A": float("nan"), "B": 10.0, "C": 10.0, "D": 10.0}),
+        ("capitals", [1.0, 10.0, 10.0, 10.0]),
+    ],
+)
+def test_load_scenario_rejects_bad_values(tmp_path, field, value):
+    doc = scenario_doc()
+    doc[field] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(InputError, match=field) as exc:
+        load_scenario(path, abcd_graph())
+    assert "scenario.json" in str(exc.value)
 
 
 def test_cascade_to_json(tmp_path):

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from fragnet.spectral import (
     DISCONNECT_TOL,
     complete_graph_lambda2,
     fragility_metrics,
+    lambda2,
     laplacian,
     mixing_time,
     normalized_laplacian,
@@ -20,7 +23,6 @@ from fragnet.spectral import (
     quadratic_form,
     resistance_distances,
     spectral_centralities,
-    spectral_centrality,
     spectrum,
     spectrum_of,
     spectrum_to_json,
@@ -93,6 +95,22 @@ def test_laplacian_validate_catches_tampering():
         lap.validate()
 
 
+def test_lambda2_kernel_matches_full_spectrum(rng):
+    for n in (3, 8, 40):
+        g = random_connected(rng, n)
+        assert lambda2(g.weights) == pytest.approx(spectrum_of(g).lambda2(), rel=1e-12)
+
+
+def test_only_spectral_module_calls_an_eigensolver():
+    src = Path(__file__).resolve().parents[1] / "src" / "fragnet"
+    call = re.compile(r"\beig(?:h|vals|valsh)?\s*\(")
+    offenders = [
+        p.name for p in sorted(src.glob("*.py"))
+        if p.name != "spectral.py" and call.search(p.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
+
+
 # ---------------------------------------------------------------------------
 # normalized Laplacian
 
@@ -131,6 +149,7 @@ def test_disconnected_lambda2_is_zero():
     assert not spec.is_connected()
     assert spec.lambda2() == 0.0
     assert spec.zero_multiplicity() == 2
+    assert lambda2(two_components().weights) == 0.0
 
 
 def test_zero_multiplicity_counts_components(rng):
@@ -162,6 +181,15 @@ def test_pseudo_inverse_inverts_off_kernel(rng):
     proj = np.eye(5) - np.full((5, 5), 1 / 5)
     assert np.allclose(lap @ p, proj, atol=1e-9)
     assert np.allclose(p @ np.ones(5), 0.0, atol=1e-9)
+
+
+def test_avg_resistance_matches_pairwise_reference(rng):
+    # the eigenvalue-only metric against the pseudo-inverse route
+    for n in (3, 6, 11):
+        g = random_connected(rng, n)
+        r = resistance_distances(spectrum_of(g))
+        want = r[np.triu_indices(n, k=1)].mean()
+        assert fragility_metrics(g).avg_resistance_distance == pytest.approx(want, rel=1e-9)
 
 
 def test_complete_graph_resistances():
@@ -248,16 +276,9 @@ def test_centrality_hub_dominates_leaf():
     assert cents["a"] == pytest.approx(cents["b"])
 
 
-def test_centrality_single_bank_matches_batch():
-    g = star_graph(2.0)
-    assert spectral_centrality(g, "hub") == pytest.approx(
-        spectral_centralities(g)["hub"]
-    )
-
-
 def test_centrality_needs_three_banks():
     with pytest.raises(DomainError):
-        spectral_centrality(complete_graph(2), "N0")
+        spectral_centralities(complete_graph(2))
 
 
 # ---------------------------------------------------------------------------
