@@ -27,6 +27,7 @@ from .spectral import (
     complete_graph_lambda2,
     fragility_metrics,
     lambda2,
+    lambda2_batch,
     laplacian,
     mixing_time,
     normalized_laplacian,
@@ -96,6 +97,7 @@ __all__ = [
     "fragility_metrics",
     "greedy_deleverage",
     "lambda2",
+    "lambda2_batch",
     "laplacian",
     "load_panel",
     "make_series",

@@ -38,14 +38,13 @@ from .network import (
     symmetrize,
     validate_conservation,
 )
-from .panel import load_panel, synthesize_panel, write_panel, _fmt
+from .panel import load_calibration, load_panel, synthesize_panel, write_panel, _fmt
 from .spectral import (
+    eigenvalues_to_json,
     fragility_metrics,
     lambda2,
     mixing_time,
     spectral_centralities,
-    spectrum_of,
-    spectrum_to_json,
 )
 
 EURO_COUNTRIES = [
@@ -210,7 +209,7 @@ def cmd_analyze(args) -> int:
             for bank, sc in spectral_centralities(graph).items():
                 centrality_rows.append([year, bank, _fmt(sc)])
         if args.spectra:
-            spectrum_to_json(spectrum_of(graph), out / f"spectrum_{year}.json")
+            eigenvalues_to_json(m.eigenvalues, graph.banks, out / f"spectrum_{year}.json")
     _write_csv(out / "fragility.csv", FRAGILITY_HEADER, frag_rows)
     _write_csv(
         out / "centrality.csv", ["year", "bank", "spectral_centrality"], centrality_rows
@@ -371,20 +370,7 @@ def cmd_stress(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.calib:
-        cpath = Path(args.calib)
-        if not cpath.exists():
-            raise InputError(f"input file not found: {cpath}")
-        try:
-            raw = json.loads(cpath.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{cpath}: invalid JSON: {exc}") from exc
-        try:
-            calibration = {int(year): cfg for year, cfg in raw.items()}
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"{cpath}: years must be integers") from exc
-    else:
-        calibration = DEFAULT_CALIBRATION
+    calibration = load_calibration(args.calib) if args.calib else DEFAULT_CALIBRATION
     panel = synthesize_panel(calibration, seed=args.seed, sigma=args.sigma)
     out_path = Path(args.out)
     if out_path.suffix != ".csv":

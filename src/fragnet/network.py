@@ -150,11 +150,11 @@ def year_arrays(records: list[BankRecord], warn: bool = True) -> YearArrays:
 
 def _allocation_basis(arrays: YearArrays, method: str, idx: np.ndarray) -> np.ndarray:
     if method == "equal":
-        return np.ones(len(idx))
+        return np.ones(idx.shape)
     if method == "size_weighted":
         basis = arrays.assets[idx]
         if np.any(basis <= 0):
-            bad = arrays.leis[int(idx[int(np.argmin(basis))])]
+            bad = arrays.leis[int(idx.flat[int(np.argmin(basis))])]
             raise DomainError(
                 f"size_weighted allocation needs positive total_assets, bank {bad} has none"
             )
@@ -162,7 +162,7 @@ def _allocation_basis(arrays: YearArrays, method: str, idx: np.ndarray) -> np.nd
     if method == "exposure_weighted":
         basis = arrays.portfolios[idx]
         if np.any(basis <= 0):
-            bad = arrays.leis[int(idx[int(np.argmin(basis))])]
+            bad = arrays.leis[int(idx.flat[int(np.argmin(basis))])]
             raise DomainError(
                 f"exposure_weighted allocation needs a positive portfolio, bank {bad} has none"
             )
@@ -173,7 +173,7 @@ def _allocation_basis(arrays: YearArrays, method: str, idx: np.ndarray) -> np.nd
 def allocate_arrays(
     arrays: YearArrays, method: str = "equal", idx: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Directed allocation on the array view.
+    """Directed allocation on the array view, for one draw or a stack of them.
 
     Parameters
     ----------
@@ -181,20 +181,25 @@ def allocate_arrays(
     method : str
         One of ``equal``, ``size_weighted``, ``exposure_weighted``.
     idx : ndarray, optional
-        Row indices selecting (possibly repeated) banks; repeats become
-        distinct nodes and counterparty denominators count multiplicity.
+        Row indices selecting (possibly repeated) banks, shape ``(n,)`` or
+        ``(k, n)`` for k draws; repeats become distinct nodes and
+        counterparty denominators count multiplicity.
 
     Returns
     -------
     (entries, unallocated)
-        entries[i, j] is the directed estimate from node i to node j;
-        unallocated[i] is exposure of node i that had no eligible
+        entries[..., i, j] is the directed estimate from node i to node j;
+        unallocated[..., i] is exposure of node i that had no eligible
         counterparty (external countries, or own country with no other bank).
+        A ``(k, n)`` idx gives ``(k, n, n)`` and ``(k, n)`` results whose
+        slice k equals the result for ``idx[k]`` bit for bit.
     """
     if idx is None:
         idx = np.arange(len(arrays.leis))
     idx = np.asarray(idx, dtype=np.intp)
-    n = len(idx)
+    single = idx.ndim == 1
+    idx = np.atleast_2d(idx)
+    k, n = idx.shape
     if n < 2:
         raise DomainError("a network needs at least 2 banks")
     m = len(arrays.countries)
@@ -202,21 +207,32 @@ def allocate_arrays(
     E = arrays.E[idx]
     basis = _allocation_basis(arrays, method, idx)
 
-    rows = np.arange(n)
-    count = np.bincount(home, minlength=m).astype(float)
-    eligible = np.tile(count, (n, 1))
-    eligible[rows, home] -= 1.0
-    mass = np.bincount(home, weights=basis, minlength=m)
-    denom = np.tile(mass, (n, 1))
-    denom[rows, home] -= basis
+    # per-draw country counts and masses through one bincount over
+    # draw-offset country codes; each bin sums its draw's banks in order
+    draw = np.arange(k)[:, None]
+    cell = (home + m * draw).ravel()
+    count = np.bincount(cell, minlength=k * m).astype(float).reshape(k, m)
+    mass = np.bincount(cell, weights=basis.ravel(), minlength=k * m).reshape(k, m)
+    rows = np.arange(n)[None, :]
+    eligible = np.repeat(count[:, None, :], n, axis=1)
+    eligible[draw, rows, home] -= 1.0
+    denom = np.repeat(mass[:, None, :], n, axis=1)
+    denom[draw, rows, home] -= basis
 
     if np.any((eligible > 0) & (denom <= 0)):
         raise DomainError("zero-weight denominator in weighted allocation")
 
     safe = np.where(eligible > 0, denom, np.inf)
-    entries = E[:, home] * (basis[None, :] / safe[:, home])
-    np.fill_diagonal(entries, 0.0)
-    unallocated = arrays.external_dropped[idx] + np.where(eligible > 0, 0.0, E).sum(axis=1)
+    # flat positions of [d, i, home[d, j]] in the (k, n, m) arrays; they are
+    # in range by construction, and "clip" skips take's bounds check
+    at_home = (m * np.arange(k * n)).reshape(k, n, 1) + home[:, None, :]
+    entries = E.take(at_home, mode="clip") * (
+        basis[:, None, :] / safe.take(at_home, mode="clip")
+    )
+    entries[:, rows[0], rows[0]] = 0.0
+    unallocated = arrays.external_dropped[idx] + np.where(eligible > 0, 0.0, E).sum(axis=2)
+    if single:
+        return entries[0], unallocated[0]
     return entries, unallocated
 
 
@@ -328,14 +344,19 @@ def graph_to_edge_csv(graph: WeightedGraph, path: str | Path) -> None:
 
 
 def graph_from_edge_csv(path: str | Path) -> WeightedGraph:
-    """Rebuild a graph from an edge list; bank order follows first appearance."""
+    """Rebuild a graph from an edge list; bank order follows first appearance.
+
+    The list must hold one year and name each pair once, in either order;
+    anything else is ambiguous and rejected with the file and line named.
+    """
     path = Path(path)
     if not path.exists():
         raise InputError(f"input file not found: {path}")
     banks: list[str] = []
     seen: dict[str, int] = {}
-    rows: list[tuple[int, str, str, float]] = []
-    year = 0
+    pair_line: dict[tuple[int, int], int] = {}
+    rows: list[tuple[int, int, float]] = []
+    year = year_line = None
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -346,27 +367,41 @@ def graph_from_edge_csv(path: str | Path) -> WeightedGraph:
             if not row:
                 continue
             if len(row) != 4:
-                raise InputError(f"line {line}: expected 4 fields, got {len(row)}")
+                raise InputError(f"{path}: line {line}: expected 4 fields, got {len(row)}")
             try:
-                year = int(row[0])
+                row_year = int(row[0])
                 w = float(row[3])
             except ValueError as exc:
-                raise InputError(f"line {line}: bad numeric field") from exc
+                raise InputError(f"{path}: line {line}: bad numeric field") from exc
             if w < 0:
-                raise InputError(f"line {line}: negative weight {w}")
+                raise InputError(f"{path}: line {line}: negative weight {w}")
+            if year is None:
+                year, year_line = row_year, line
+            elif row_year != year:
+                raise InputError(
+                    f"{path}: line {line}: year {row_year} differs from year {year} "
+                    f"on line {year_line}; an edge list holds one year"
+                )
             for bank in (row[1], row[2]):
                 if bank not in seen:
                     seen[bank] = len(banks)
                     banks.append(bank)
-            rows.append((year, row[1], row[2], w))
+            i, j = seen[row[1]], seen[row[2]]
+            if i == j:
+                raise InputError(f"{path}: line {line}: self-loop on {row[1]}")
+            pair = (i, j) if i < j else (j, i)
+            if pair in pair_line:
+                raise InputError(
+                    f"{path}: line {line}: pair {row[1]},{row[2]} already given on "
+                    f"line {pair_line[pair]}"
+                )
+            pair_line[pair] = line
+            rows.append((i, j, w))
     if len(banks) < 2:
         raise InputError(f"{path}: fewer than 2 banks")
     n = len(banks)
     weights = np.zeros((n, n))
-    for _, bi, bj, w in rows:
-        i, j = seen[bi], seen[bj]
-        if i == j:
-            raise InputError(f"{path}: self-loop on {bi}")
+    for i, j, w in rows:
         weights[i, j] = w
         weights[j, i] = w
     graph = WeightedGraph(banks, weights, year)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -263,6 +264,55 @@ def write_panel(panel: ExposurePanel, path: str | Path, manifest: bool = True) -
         }
         mpath = path.with_suffix(".manifest.json")
         mpath.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _calibration_field(path: Path, year: int, cfg: dict, key: str):
+    """One field of a calibration year, checked for its type, or an
+    InputError naming the file, the year and the field."""
+    if key not in cfg:
+        raise InputError(f"{path}: year {year}: missing field {key!r}")
+    value = cfg[key]
+    if key == "country_list":
+        if isinstance(value, list) and all(isinstance(c, str) for c in value):
+            return list(value)
+        raise InputError(f"{path}: year {year}: field {key!r} must be a list of country codes")
+    whole = key == "n_banks"
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an integer beyond the float range
+            x = math.inf
+        if math.isfinite(x) and not (whole and not x.is_integer()):
+            return int(x) if whole else x
+    kind = "a whole number" if whole else "a finite number"
+    raise InputError(f"{path}: year {year}: field {key!r} must be {kind}, got {value!r}")
+
+
+def load_calibration(path: str | Path) -> dict[int, dict]:
+    """Read a synthesis spec (year -> n_banks, total_exposure, country_list)
+    from JSON, rejecting a missing or ill-typed field with an InputError."""
+    path = Path(path)
+    if not path.exists():
+        raise InputError(f"input file not found: {path}")
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise InputError(f"{path}: a calibration must be a JSON object of years")
+    calibration = {}
+    for key, cfg in raw.items():
+        try:
+            year = int(key)
+        except ValueError as exc:
+            raise InputError(f"{path}: years must be integers, got {key!r}") from exc
+        if not isinstance(cfg, dict):
+            raise InputError(f"{path}: year {year}: entry must be a JSON object, got {cfg!r}")
+        calibration[year] = {
+            k: _calibration_field(path, year, cfg, k)
+            for k in ("n_banks", "total_exposure", "country_list")
+        }
+    return calibration
 
 
 def synthesize_panel(

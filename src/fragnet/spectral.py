@@ -1,10 +1,12 @@
 """Graph Laplacians, dense symmetric eigensolves, fragility metrics.
 
 The networks here are small and complete, so every solve is a dense LAPACK
-call (scipy.linalg.eigh) and this is the only module that makes one.
-Most callers need only lambda2 or the eigenvalues: `lambda2(weights)` and
-`fragility_metrics` ask the solver for eigenvalues alone. Eigenvectors are
-computed only by `spectrum`/`spectrum_of`, for diffusion and for export.
+call through NumPy (`numpy.linalg.eigvalsh`/`eigh`), and this is the only
+module that makes one. Most callers need only lambda2 or the eigenvalues:
+`lambda2_batch(stack)` solves a stack of same-sized networks in one call,
+`lambda2(weights)` is its one-network case, and `fragility_metrics` asks for
+eigenvalues alone. Eigenvectors are computed only by `spectrum`/`spectrum_of`,
+for diffusion and for export.
 A graph counts as disconnected when lambda2 < DISCONNECT_TOL * lambda_n;
 floating-point zero eigenvalues are never exact.
 """
@@ -13,11 +15,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError
 from .network import WeightedGraph
@@ -60,11 +61,11 @@ class LaplacianSpectrum:
         return float(self.eigenvalues[-1])
 
     def is_connected(self) -> bool:
-        return _connected(self.eigenvalues)
+        return bool(_connected(self.eigenvalues))
 
     def lambda2(self) -> float:
         """Algebraic connectivity; 0 for a disconnected graph."""
-        return _lambda2_of(self.eigenvalues)
+        return float(_lambda2_of(self.eigenvalues))
 
     def zero_multiplicity(self) -> int:
         lam = self.eigenvalues
@@ -84,20 +85,24 @@ class FragilityMetrics:
     normalized_lambda2: float
     avg_resistance_distance: float
     connected: bool
+    # ascending eigenvalues of the standard Laplacian the fields come from
+    eigenvalues: np.ndarray = field(repr=False)
 
 
-def _connected(lam: np.ndarray) -> bool:
-    """The disconnect rule on ascending eigenvalues."""
-    return bool(lam[-1] > 0 and lam[1] >= DISCONNECT_TOL * lam[-1])
+def _connected(lam: np.ndarray) -> np.ndarray:
+    """The disconnect rule on ascending eigenvalues, along the last axis."""
+    return (lam[..., -1] > 0) & (lam[..., 1] >= DISCONNECT_TOL * lam[..., -1])
 
 
-def _lambda2_of(lam: np.ndarray) -> float:
-    return float(lam[1]) if _connected(lam) else 0.0
+def _lambda2_of(lam: np.ndarray) -> np.ndarray:
+    return np.where(_connected(lam), lam[..., 1], 0.0)
 
 
 def _laplacian_entries(weights: np.ndarray) -> np.ndarray:
+    """L = D - W for one (n, n) matrix or a (k, n, n) stack."""
     entries = -weights
-    np.fill_diagonal(entries, weights.sum(axis=1))
+    diag = np.arange(weights.shape[-1])
+    entries[..., diag, diag] = weights.sum(axis=-1)
     return entries
 
 
@@ -109,22 +114,34 @@ def _normalized_entries(weights: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def _eigh(entries: np.ndarray, eigvals_only: bool):
+    """Ascending eigenvalues (and eigenvector columns unless eigvals_only) of
+    a symmetric matrix or a stack of them."""
     try:
-        return scipy.linalg.eigh(entries, eigvals_only=eigvals_only)
-    except scipy.linalg.LinAlgError as exc:
+        if eigvals_only:
+            return np.linalg.eigvalsh(entries)
+        return np.linalg.eigh(entries)
+    except np.linalg.LinAlgError as exc:
         raise DomainError(
             f"eigensolver failed to converge within its iteration budget: {exc}"
         ) from exc
 
 
-def lambda2(weights: np.ndarray) -> float:
-    """Algebraic connectivity of L = D - W from its eigenvalues alone; 0 for
-    a disconnected graph.
+def lambda2_batch(weights: np.ndarray) -> np.ndarray:
+    """Algebraic connectivity of each network in a (k, n, n) stack of weight
+    matrices, from one eigenvalue-only solve; 0 for a disconnected member.
 
     The weights are taken as given (square, symmetric, non-negative): public
-    entry points validate their graph once, not once per solve.
+    entry points validate their graphs once, not once per solve.
     """
     return _lambda2_of(_eigh(_laplacian_entries(weights), eigvals_only=True))
+
+
+def lambda2(weights: np.ndarray) -> float:
+    """Algebraic connectivity of L = D - W; 0 for a disconnected graph.
+
+    The one-network case of `lambda2_batch`, with the same assumptions.
+    """
+    return float(lambda2_batch(weights[None])[0])
 
 
 def laplacian(graph: WeightedGraph) -> LaplacianMatrix:
@@ -199,8 +216,8 @@ def fragility_metrics(graph: WeightedGraph) -> FragilityMetrics:
     graph.validate()
     lam = _eigh(_laplacian_entries(graph.weights), eigvals_only=True)
     n = graph.n
-    connected = _connected(lam)
-    lam2 = _lambda2_of(lam)
+    connected = bool(_connected(lam))
+    lam2 = float(_lambda2_of(lam))
     lambda_n = float(lam[-1])
 
     if connected:
@@ -214,7 +231,7 @@ def fragility_metrics(graph: WeightedGraph) -> FragilityMetrics:
 
     d = graph.degrees()
     if np.all(d > 0):
-        norm_l2 = _lambda2_of(_eigh(_normalized_entries(graph.weights, d), eigvals_only=True))
+        norm_l2 = float(_lambda2_of(_eigh(_normalized_entries(graph.weights, d), eigvals_only=True)))
     else:
         norm_l2 = math.nan
 
@@ -228,6 +245,7 @@ def fragility_metrics(graph: WeightedGraph) -> FragilityMetrics:
         normalized_lambda2=norm_l2,
         avg_resistance_distance=avg_r,
         connected=connected,
+        eigenvalues=lam,
     )
 
 
@@ -281,15 +299,27 @@ def quadratic_form(graph: WeightedGraph, x: np.ndarray) -> float:
     return float(0.5 * np.sum(graph.weights * diff * diff))
 
 
+def eigenvalues_to_json(
+    eigenvalues: np.ndarray,
+    banks: list[str],
+    path: str | Path,
+    normalized: bool = False,
+    eigenvectors: np.ndarray | None = None,
+) -> None:
+    """Export ascending eigenvalues, and the eigenvector rows when given."""
+    doc: dict = {
+        "eigenvalues": [float(v) for v in eigenvalues],
+        "bank_order": list(banks),
+        "normalized": normalized,
+    }
+    if eigenvectors is not None:
+        doc["eigenvectors"] = [[float(x) for x in row] for row in eigenvectors]
+    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def spectrum_to_json(
     spec: LaplacianSpectrum, path: str | Path, include_vectors: bool = False
 ) -> None:
     """Export eigenvalues (and optionally the basis-dependent vectors)."""
-    doc: dict = {
-        "eigenvalues": [float(v) for v in spec.eigenvalues],
-        "bank_order": list(spec.banks),
-        "normalized": spec.normalized,
-    }
-    if include_vectors:
-        doc["eigenvectors"] = [[float(x) for x in row] for row in spec.eigenvectors]
-    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
+    vectors = spec.eigenvectors if include_vectors else None
+    eigenvalues_to_json(spec.eigenvalues, spec.banks, path, spec.normalized, vectors)

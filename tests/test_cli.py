@@ -1,7 +1,9 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ import pytest
 from conftest import graph_of
 from fragnet.cli import main
 from fragnet.network import graph_from_edge_csv, graph_to_edge_csv
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 OBSERVED = {2014: 1322.87, 2016: 1797.59, 2018: 2037.42, 2021: 2007.23, 2023: 2181.96}
 
@@ -30,6 +34,13 @@ def write_calibration(path, n=8):
     }
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
+
+
+def subprocess_env(**extra):
+    """The test environment with this checkout's package first on the path."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 def read_csv(path):
@@ -223,6 +234,25 @@ def test_synth_calibration_errors(tmp_path, capsys):
     rc = main(["synth", "--calib", str(nonyear), "--out", str(tmp_path / "p.csv")])
     assert rc == 2
 
+    good = {"n_banks": 4, "total_exposure": 1000.0, "country_list": ["DE", "FR"]}
+    cases = {
+        "n_banks": ("n_banks", {k: v for k, v in good.items() if k != "n_banks"}),
+        "total_exposure": ("total_exposure", {k: v for k, v in good.items() if k != "total_exposure"}),
+        "country_list": ("country_list", {k: v for k, v in good.items() if k != "country_list"}),
+        "entry": ("object", [4, 1000.0]),
+        "count": ("n_banks", {**good, "n_banks": "four"}),
+        "fraction": ("n_banks", {**good, "n_banks": 4.5}),
+        "total": ("total_exposure", {**good, "total_exposure": "lots"}),
+        "flag": ("total_exposure", {**good, "total_exposure": True}),
+    }
+    for name, (field, entry) in cases.items():
+        calib = tmp_path / f"calib_{name}.json"
+        calib.write_text(json.dumps({"2016": good, "2014": entry}), encoding="utf-8")
+        rc = main(["synth", "--calib", str(calib), "--out", str(tmp_path / "p.csv")])
+        assert rc == 2, name
+        err = capsys.readouterr().err
+        assert calib.name in err and "2014" in err and field in err, (name, err)
+
 
 def test_synth_directory_output_form(tmp_path):
     calib = write_calibration(tmp_path / "calib.json")
@@ -299,6 +329,32 @@ def test_stress_rejects_non_finite_scenario_values(tmp_path, capsys):
         assert scenario.name in err and field in err
 
 
+def run_stress_on_edges(tmp_path, rows):
+    edges = tmp_path / "edges.csv"
+    edges.write_text("year,bank_i,bank_j,weight\n" + "".join(r + "\n" for r in rows), encoding="utf-8")
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(
+        json.dumps({"shock": {"A": 1.0}, "horizon": 2.0, "dt": 0.2,
+                    "capitals": {"A": 1.0, "B": 1.0, "C": 1.0}}),
+        encoding="utf-8",
+    )
+    return main(["stress", "--input", str(edges), "--scenario", str(scenario), "--out", str(tmp_path / "o")])
+
+
+def test_stress_rejects_repeated_edge_pair(tmp_path, capsys):
+    for rows in (["2014,A,B,1.0", "2014,B,C,2.0", "2014,A,B,3.0"],
+                 ["2014,A,B,1.0", "2014,B,C,2.0", "2014,B,A,3.0"]):
+        assert run_stress_on_edges(tmp_path, rows) == 2
+        err = capsys.readouterr().err
+        assert "edges.csv" in err and "line 4" in err and "line 2" in err, err
+
+
+def test_stress_rejects_edge_list_mixing_years(tmp_path, capsys):
+    assert run_stress_on_edges(tmp_path, ["2014,A,B,1.0", "2014,B,C,2.0", "2016,A,C,3.0"]) == 2
+    err = capsys.readouterr().err
+    assert "edges.csv" in err and "line 4" in err and "2016" in err, err
+
+
 def test_stress_requires_scenario(tmp_path, capsys):
     g = graph_of([[0, 1], [1, 0]], banks=["A", "B"])
     edges = tmp_path / "edges.csv"
@@ -330,3 +386,37 @@ def test_module_entry_point_smoke(tmp_path):
     )
     assert proc.returncode == 0
     assert (tmp_path / "out" / "did.json").exists()
+
+
+def test_import_loads_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, fragnet.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=subprocess_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_bootstrap_identical_at_one_and_two_blas_threads(tmp_path):
+    panel = tmp_path / "panel.csv"
+    assert main(["synth", "--seed", "42", "--out", str(panel)]) == 0
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "fragnet", "did", "--input", str(panel), "--out", str(out),
+                "--bootstrap-b", "100", "--seed", "7",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env=subprocess_env(OPENBLAS_NUM_THREADS=threads),
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    for name in ("bootstrap.csv", "did.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name

@@ -9,9 +9,11 @@ from conftest import bank, complete_graph, graph_of, lei
 from fragnet.cli import DEFAULT_CALIBRATION
 from fragnet.errors import DomainError, InputError
 from fragnet.network import (
+    METHODS,
     DirectedExposureMatrix,
     WeightedGraph,
     allocate,
+    allocate_arrays,
     build_graph,
     graph_from_edge_csv,
     graph_from_json,
@@ -20,6 +22,7 @@ from fragnet.network import (
     network_stats,
     symmetrize,
     validate_conservation,
+    year_arrays,
 )
 from fragnet.panel import synthesize_panel
 
@@ -134,6 +137,50 @@ def test_exposure_weighted_rejects_zero_portfolio_denominator():
     ]
     with pytest.raises(DomainError):
         allocate(recs, "exposure_weighted")
+
+
+def assert_stack_matches_single_draws(arrays, idx):
+    for method in METHODS:
+        entries, unallocated = allocate_arrays(arrays, method, idx)
+        k, n = idx.shape
+        assert entries.shape == (k, n, n) and unallocated.shape == (k, n)
+        for d, draw in enumerate(idx):
+            one_entries, one_unallocated = allocate_arrays(arrays, method, draw)
+            assert np.array_equal(entries[d], one_entries), (method, d)
+            assert np.array_equal(unallocated[d], one_unallocated), (method, d)
+
+
+def test_stacked_allocation_matches_single_draws():
+    # aa is the only DE bank, bb and cc share FR, dd is the only IT bank
+    recs = [
+        bank("aa", "DE", assets=50.0, exposures={"FR": 10.0, "DE": 4.0, "IT": 1.0}),
+        bank("bb", "FR", assets=30.0, exposures={"DE": 3.0, "FR": 2.0, "US": 5.0}),
+        bank("cc", "FR", assets=20.0, exposures={"IT": 7.0, "FR": 1.5}),
+        bank("dd", "IT", assets=80.0, exposures={"DE": 2.0, "FR": 6.0, "IT": 3.0}),
+    ]
+    idx = np.array(
+        [
+            [0, 1, 2, 3],  # the sample itself
+            [1, 1, 2, 3],  # bb twice, no DE bank drawn
+            [0, 0, 3, 2],  # aa twice, cc alone in FR
+            [3, 1, 0, 0],
+        ]
+    )
+    assert_stack_matches_single_draws(year_arrays(recs, warn=False), idx)
+
+
+def test_stacked_allocation_matches_single_draws_at_paper_scale():
+    panel = synthesize_panel({2014: DEFAULT_CALIBRATION[2014]}, seed=42)
+    arrays = year_arrays(panel.records[2014], warn=False)
+    n = len(arrays.leis)
+    idx = np.random.default_rng(7).integers(0, n, size=(6, n))
+    assert_stack_matches_single_draws(arrays, idx)
+
+
+def test_stacked_allocation_names_bank_without_assets():
+    arrays = year_arrays(three_banks(assets_b=0.0), warn=False)
+    with pytest.raises(DomainError, match=lei("bb")):
+        allocate_arrays(arrays, "size_weighted", np.array([[0, 2, 2], [0, 1, 2]]))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from fragnet.spectral import (
     complete_graph_lambda2,
     fragility_metrics,
     lambda2,
+    lambda2_batch,
     laplacian,
     mixing_time,
     normalized_laplacian,
@@ -99,6 +100,15 @@ def test_lambda2_kernel_matches_full_spectrum(rng):
     for n in (3, 8, 40):
         g = random_connected(rng, n)
         assert lambda2(g.weights) == pytest.approx(spectrum_of(g).lambda2(), rel=1e-12)
+
+
+def test_lambda2_batch_matches_single_solves(rng):
+    stack = np.stack([random_connected(rng, 4).weights for _ in range(4)] + [two_components().weights])
+    got = lambda2_batch(stack)
+    assert got.shape == (5,)
+    assert list(got) == [lambda2(w) for w in stack]
+    assert got[-1] == 0.0
+    assert np.all(got[:-1] > 0.0)
 
 
 def test_only_spectral_module_calls_an_eigensolver():
