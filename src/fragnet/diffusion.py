@@ -16,9 +16,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import DomainError, GreedyStalled, InputError
 from .network import WeightedGraph
-from .spectral import DISCONNECT_TOL, LaplacianSpectrum, lambda2, spectrum_of
+from .spectral import (
+    DISCONNECT_TOL,
+    LaplacianSpectrum,
+    lambda2,
+    lambda2_batch,
+    lambda2_cut_bounds,
+    spectrum_of,
+    stack_members,
+)
 
 
 @dataclass
@@ -232,16 +240,25 @@ def greedy_deleverage(
 
     One move reduces a single edge by up to ``step``, chosen as the move
     with the lowest resulting lambda2 among banks still owing more than a
-    step; ties go to the lexicographically first (bank, counterparty) pair.
-    A cut hits both endpoints' row sums, so a bank can be overshot by at
-    most one step. The result is compared against a proportional-cut
-    baseline and a warning is emitted if greedy ends up more fragile.
+    step; ties (within a relative 1e-12) go to the lexicographically first
+    (bank, counterparty) pair. A cut hits both endpoints' row sums, so a
+    bank can be overshot by at most one step. The result is compared
+    against a proportional-cut baseline and a warning is emitted if greedy
+    ends up more fragile.
+
+    Each move screens its candidates by bounds from one decomposition (see
+    `_confirm_set`) and solves only those that can still win, which picks
+    the same move as solving every candidate. GreedyStalled is raised when
+    no admissible cut is left although the proportional baseline meets
+    every target; DomainError("infeasible target ...") when it does not.
     """
     graph.validate()
     n = graph.n
     d = graph.degrees()
     target = np.zeros(n)
     for bank, amount in targets.items():
+        if not math.isfinite(amount):
+            raise DomainError(f"non-finite target for {bank}: {amount!r}")
         if amount < 0:
             raise DomainError(f"negative target for {bank}")
         target[graph.index(bank)] = float(amount)
@@ -256,8 +273,8 @@ def greedy_deleverage(
     if step is None:
         step = 0.01 * float(positive.max())
     else:
-        if step <= 0:
-            raise DomainError(f"step must be positive, got {step}")
+        if not (math.isfinite(step) and step > 0):
+            raise DomainError(f"step must be a positive finite number, got {step!r}")
         if step > positive.min() * (1 + 1e-12):
             raise DomainError(
                 f"step {step} exceeds the smallest positive target {positive.min()}"
@@ -266,37 +283,44 @@ def greedy_deleverage(
     w = graph.weights.copy()
     remaining = target.copy()
     guard = step * (1 - 1e-9)
+    moves = 0
 
     while True:
         active = np.nonzero(remaining >= guard)[0]
         if active.size == 0:
             break
+        # admissible cuts in (bank, counterparty) order: a positive edge of
+        # an owing bank, never pushing the counterparty's overshoot beyond
+        # one step
+        ii, cols = np.nonzero(w[active] > 0)
+        rows = active[ii]
+        cuts = np.minimum(step, w[rows, cols])
+        ok = ~(remaining[cols] - cuts < -step * (1 + 1e-9))
+        rows, cols, cuts = rows[ok], cols[ok], cuts[ok]
+        if rows.size == 0:
+            owing = graph.banks[int(active[0])]
+            cut_base = d - _proportional_cut(graph, target).degrees()
+            if np.all(cut_base >= target - slack):
+                raise GreedyStalled(
+                    f"greedy stalled after {moves} moves: no admissible cut left for "
+                    f"{owing}, although the proportional baseline meets every target",
+                    moves,
+                )
+            raise DomainError(f"infeasible target: no admissible cut left for {owing}")
+        confirm = _confirm_set(w, rows, cols, cuts)
+        lam2 = _trial_lambda2(w, rows[confirm], cols[confirm], cuts[confirm])
         best = None
         best_lambda = math.inf
-        for i in active:
-            for j in range(n):
-                if j == i or w[i, j] <= 0:
-                    continue
-                cut = min(step, w[i, j])
-                # never push a counterparty's overshoot beyond one step
-                if remaining[j] - cut < -step * (1 + 1e-9):
-                    continue
-                # try the cut in place, then put back the exact input weight
-                old = w[i, j]
-                w[i, j] = w[j, i] = old - cut
-                lam2 = lambda2(w)
-                w[i, j] = w[j, i] = old
-                if lam2 < best_lambda * (1 - 1e-12):
-                    best_lambda = lam2
-                    best = (int(i), int(j), cut)
-        if best is None:
-            owing = graph.banks[int(active[0])]
-            raise DomainError(f"infeasible target: no admissible cut left for {owing}")
-        i, j, cut = best
+        for k, value in zip(confirm, lam2):
+            if value < best_lambda * (1 - 1e-12):
+                best_lambda = value
+                best = k
+        i, j, cut = rows[best], cols[best], cuts[best]
         w[i, j] -= cut
         w[j, i] -= cut
         remaining[i] -= cut
         remaining[j] -= cut
+        moves += 1
 
     result = WeightedGraph(list(graph.banks), w, graph.year)
     baseline = _proportional_cut(graph, target)
@@ -309,6 +333,47 @@ def greedy_deleverage(
             stacklevel=2,
         )
     return result
+
+
+def _confirm_set(w: np.ndarray, rows: np.ndarray, cols: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """Indices of the candidate cuts whose lambda2 the move must solve.
+
+    A stack that fits one solve is solved whole. Otherwise the closed set
+    is: the candidate with the least upper bound, then every candidate
+    whose lower bound lies within the tie tolerance of the largest upper
+    bound taken so far, until none is added. Every candidate left out then
+    lies above every confirmed value by more than the tie tolerance, so it
+    can neither take the lead nor keep it, and the move is the one that
+    solving every candidate would pick. When a bound reaches 0 (the graph
+    or a trial may count as disconnected), every candidate is solved.
+    """
+    everything = np.arange(rows.size)
+    if rows.size <= stack_members(len(w)):
+        return everything
+    lo, hi = lambda2_cut_bounds(w, rows, cols, cuts)
+    if lo.min() <= 0.0:
+        return everything
+    top = hi.min()
+    while True:
+        confirm = np.nonzero(lo <= top / (1 - 1e-12))[0]
+        reach = hi[confirm].max()
+        if reach <= top:
+            return confirm
+        top = reach
+
+
+def _trial_lambda2(w: np.ndarray, rows: np.ndarray, cols: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """lambda2 of w with each cut made alone, in stacks of stack_members(n)."""
+    size = stack_members(len(w))
+    out = np.empty(rows.size)
+    for start in range(0, rows.size, size):
+        part = slice(start, start + size)
+        r, c = rows[part], cols[part]
+        stack = np.repeat(w[None], r.size, axis=0)
+        member = np.arange(r.size)
+        stack[member, r, c] = stack[member, c, r] = w[r, c] - cuts[part]
+        out[part] = lambda2_batch(stack)
+    return out
 
 
 def _proportional_cut(graph: WeightedGraph, target: np.ndarray) -> WeightedGraph:

@@ -19,11 +19,7 @@ import numpy as np
 from .errors import DomainError, InputError
 from .network import WeightedGraph, allocate_arrays, year_arrays
 from .panel import ExposurePanel
-from .spectral import lambda2, lambda2_batch
-
-# entries per stacked solve in the bootstrap: max(1, _CHUNK_ENTRIES // n**2)
-# resamples of an n-bank year are allocated and solved together
-_CHUNK_ENTRIES = 2**15
+from .spectral import lambda2, lambda2_batch, stack_members
 
 
 @dataclass
@@ -317,7 +313,8 @@ def bootstrap_did(
     lam2 = {}
     for y in all_years:
         lam2[y] = np.empty(B)
-        chunk = max(1, _CHUNK_ENTRIES // sizes[y] ** 2)
+        # resamples of a year are allocated and solved together
+        chunk = stack_members(sizes[y])
         for start in range(0, B, chunk):
             entries, _ = allocate_arrays(arrays[y], method, draws[y][start : start + chunk])
             stack = (entries + entries.transpose(0, 2, 1)) / 2.0

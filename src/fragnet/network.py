@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -373,6 +374,8 @@ def graph_from_edge_csv(path: str | Path) -> WeightedGraph:
                 w = float(row[3])
             except ValueError as exc:
                 raise InputError(f"{path}: line {line}: bad numeric field") from exc
+            if not math.isfinite(w):
+                raise InputError(f"{path}: line {line}: non-finite weight {row[3]!r}")
             if w < 0:
                 raise InputError(f"{path}: line {line}: negative weight {w}")
             if year is None:

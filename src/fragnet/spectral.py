@@ -6,7 +6,8 @@ module that makes one. Most callers need only lambda2 or the eigenvalues:
 `lambda2_batch(stack)` solves a stack of same-sized networks in one call,
 `lambda2(weights)` is its one-network case, and `fragility_metrics` asks for
 eigenvalues alone. Eigenvectors are computed only by `spectrum`/`spectrum_of`,
-for diffusion and for export.
+for diffusion and for export, and by `lambda2_cut_bounds`, which screens
+candidate edge cuts from one decomposition.
 A graph counts as disconnected when lambda2 < DISCONNECT_TOL * lambda_n;
 floating-point zero eigenvalues are never exact.
 """
@@ -24,6 +25,15 @@ from .errors import DomainError
 from .network import WeightedGraph
 
 DISCONNECT_TOL = 1e-8
+
+# matrix entries per stacked solve; see stack_members
+_CHUNK_ENTRIES = 2**15
+
+# backward-error margin of lambda2_cut_bounds, relative to lambda_n: some
+# 1e4 times n * eps at the sizes here
+_CUT_MARGIN = 1e-10
+# a cap on bracketing rounds; brackets close in a handful
+_CUT_ITERATIONS = 30
 
 
 @dataclass
@@ -136,12 +146,97 @@ def lambda2_batch(weights: np.ndarray) -> np.ndarray:
     return _lambda2_of(_eigh(_laplacian_entries(weights), eigvals_only=True))
 
 
+def stack_members(n: int) -> int:
+    """Networks of n banks per stacked solve: _CHUNK_ENTRIES // n**2, at least 1."""
+    return max(1, _CHUNK_ENTRIES // n**2)
+
+
 def lambda2(weights: np.ndarray) -> float:
     """Algebraic connectivity of L = D - W; 0 for a disconnected graph.
 
     The one-network case of `lambda2_batch`, with the same assumptions.
     """
     return float(lambda2_batch(weights[None])[0])
+
+
+def lambda2_cut_bounds(
+    weights: np.ndarray, rows: np.ndarray, cols: np.ndarray, cuts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds lo <= lambda2 <= hi for each trial network that lowering the
+    entries (i, j) and (j, i) of `weights` by c would give, for the
+    candidate cuts i = rows[k], j = cols[k], c = cuts[k], from one
+    eigendecomposition of the current Laplacian.
+
+    A cut is the rank-one downdate L - c u u^T with u = e_i - e_j. With
+    L = V diag(lam) V^T and z = V^T u, a point mu between lambda1 and lambda2
+    lies below the trial's lambda2 exactly when the secular function
+    1 - c sum_k z_k^2 / (lam_k - mu) is positive (Golub 1973; Bunch, Nielsen
+    & Sorensen 1978), which costs O(n) per point. The sum keeps the zero
+    mode, whose z_1 is only rounding, so that the sign is exact for the
+    computed decomposition. Each end of a bracket is certified by that sign;
+    Newton steps from above and chords from below, both taken on the concave
+    1 / sum_k z_k^2 / (lam_k - mu) - c, close the brackets to 1e-12 lambda_n
+    in a few rounds. The ends are then widened by a backward-error margin,
+    so that they bound the value `lambda2_batch` computes for the trial.
+
+    lo is 0 wherever the trial's lambda2 may lie below 2 * DISCONNECT_TOL *
+    lambda_n, so may count as disconnected, and for every candidate when the
+    current network already does.
+    """
+    lam, vec = _eigh(_laplacian_entries(weights), eigvals_only=False)
+    margin = _CUT_MARGIN * lam[-1]
+    lo = np.zeros(len(rows))
+    # a downdate never raises an eigenvalue
+    hi = np.full(len(rows), lam[1])
+    if not _connected(lam):
+        return lo, hi + margin
+    floor = 2.0 * DISCONNECT_TOL * lam[-1]
+    # the pole at lambda2 is never evaluated
+    cap = np.nextafter(lam[1], 0.0)
+    z2 = (vec[rows] - vec[cols]) ** 2
+    both = np.vstack((z2, z2))
+    twice = np.concatenate((cuts, cuts))
+    # sum_k z_k^2 / (lam_k - mu) and its derivative at the two ends; at the
+    # pole the sum is infinite and the derivative unknown
+    s_lo = np.full(len(rows), np.nan)
+    s_hi = np.full(len(rows), np.inf)
+    ds_hi = np.full(len(rows), np.nan)
+
+    # first points: the disconnect floor from below, and from above the
+    # least lam_k - c z_k^2, where the term k alone makes the sum reach 1/c
+    p_lo = np.full(len(rows), floor)
+    p_hi = np.min(lam[1:] - cuts[:, None] * z2[:, 1:], axis=1)
+    resolution = 1e-2 * margin
+    for _ in range(_CUT_ITERATIONS):
+        start = np.maximum(lo, floor)
+        stop = np.minimum(hi, cap)
+        points = np.clip(np.concatenate((p_lo, p_hi)), np.tile(start, 2), np.tile(stop, 2))
+        r = 1.0 / (lam - points[:, None])
+        t = both * r
+        s = t.sum(axis=1)
+        ds = (t * r).sum(axis=1)
+        below = twice * s < 1.0
+        moved = False
+        for half in (slice(0, len(rows)), slice(len(rows), None)):
+            p, b = points[half], below[half]
+            up = ~b & (p < hi)
+            hi[up], s_hi[up], ds_hi[up] = p[up], s[half][up], ds[half][up]
+            down = b & (p > lo)
+            lo[down], s_lo[down] = p[down], s[half][down]
+            moved = moved or up.any() or down.any()
+        if not moved or np.all((hi - lo <= resolution) | (hi <= floor)):
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            phi_hi = 1.0 / s_hi - cuts
+            phi_lo = 1.0 / s_lo - cuts
+            p_hi = hi + phi_hi * s_hi**2 / ds_hi
+            p_lo = lo + phi_lo * (hi - lo) / (phi_lo - phi_hi)
+        # a step that lands within rounding of the root cannot be
+        # certified from its side; once a step comes that close to the
+        # other end, try just inside that end instead
+        p_hi = np.maximum(np.where(np.isfinite(p_hi), p_hi, hi), lo + 0.5 * resolution)
+        p_lo = np.minimum(np.where(np.isfinite(p_lo), p_lo, lo), hi - 0.5 * resolution)
+    return np.where(lo > 0, lo - margin, 0.0), hi + margin
 
 
 def laplacian(graph: WeightedGraph) -> LaplacianMatrix:

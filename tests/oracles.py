@@ -245,6 +245,58 @@ def enumerate_deleverage(weights, targets, step: float) -> float:
     return best[0]
 
 
+def _connectivity(weights: np.ndarray) -> float:
+    """lambda2 of D - W by its own eigvalsh, 0 when lambda2 < 1e-8 lambda_n."""
+    eig = np.linalg.eigvalsh(np.diag(weights.sum(axis=1)) - weights)
+    if eig[-1] > 0 and eig[1] >= 1e-8 * eig[-1]:
+        return float(eig[1])
+    return 0.0
+
+
+def greedy_reference(weights, targets, step: float):
+    """Greedy deleveraging by brute force: one solve per candidate cut.
+
+    Same rules as the optimizer: a move cuts min(step, w_ij) from a positive
+    edge of a bank still owing at least ~one step, never pushing the
+    counterparty's overshoot beyond one step, and takes the lowest lambda2;
+    a later candidate takes the lead only when lower by a relative 1e-12.
+    Returns (weights, moves, stalled), with stalled the first owing bank's
+    index when no admissible cut is left, else None.
+    """
+    w = np.asarray(weights, dtype=float).copy()
+    remaining = np.asarray(targets, dtype=float).copy()
+    n = len(w)
+    guard = step * (1 - 1e-9)
+    moves = 0
+    while True:
+        active = [i for i in range(n) if remaining[i] >= guard]
+        if not active:
+            return w, moves, None
+        best = None
+        best_lambda = math.inf
+        for i in active:
+            for j in range(n):
+                if j == i or w[i, j] <= 0:
+                    continue
+                cut = min(step, w[i, j])
+                if remaining[j] - cut < -step * (1 + 1e-9):
+                    continue
+                trial = w.copy()
+                trial[i, j] = trial[j, i] = w[i, j] - cut
+                lam = _connectivity(trial)
+                if lam < best_lambda * (1 - 1e-12):
+                    best_lambda = lam
+                    best = (i, j, cut)
+        if best is None:
+            return w, moves, active[0]
+        i, j, cut = best
+        w[i, j] -= cut
+        w[j, i] -= cut
+        remaining[i] -= cut
+        remaining[j] -= cut
+        moves += 1
+
+
 # ---------------------------------------------------------------------------
 # brute-force conductance for Cheeger checks
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,10 +23,10 @@ from fragnet.diffusion import (
     load_scenario,
 )
 from fragnet.cli import DEFAULT_CALIBRATION
-from fragnet.errors import DomainError, InputError
-from fragnet.network import build_graph
+from fragnet.errors import DomainError, GreedyStalled, InputError
+from fragnet.network import allocate, build_graph, symmetrize
 from fragnet.panel import synthesize_panel
-from fragnet.spectral import mixing_time, pseudo_inverse, spectrum_of
+from fragnet.spectral import mixing_time, pseudo_inverse, spectrum_of, stack_members
 
 
 def abcd_graph(w=1.0):
@@ -410,6 +411,117 @@ def test_greedy_blocked_by_counterparty_overshoot():
     g = graph_of([[0, 2, 0], [2, 0, 0], [0, 0, 0]], banks=["A", "B", "C"])
     with pytest.raises(DomainError, match="no admissible cut left for A"):
         greedy_deleverage(g, {"A": 2.0, "B": 0.2}, step=0.2)
+
+
+def test_greedy_rejects_non_finite_inputs():
+    # a NaN target used to be skipped and end in an eigensolver failure; a
+    # NaN step returned the graph untouched
+    g = complete_graph(3, 1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="non-finite target for N1"):
+            greedy_deleverage(g, {"N0": 1.0, "N1": bad})
+        with pytest.raises(DomainError, match="step must be a positive finite number"):
+            greedy_deleverage(g, {"N1": 1.0}, step=bad)
+
+
+def stalled_case():
+    """The benchmark's stalled call: 5 banks, every target 5 % of the degree."""
+    spec = {2014: {"n_banks": 5, "total_exposure": 1e4, "country_list": ["DE", "FR", "IT", "ES", "NL"]}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        panel = synthesize_panel(spec, seed=0)
+        g = symmetrize(allocate(panel.records[2014], "equal"), 2014)
+    return g, {b: 0.05 * float(x) for b, x in zip(g.banks, g.degrees())}
+
+
+def test_greedy_stall_on_feasible_targets_is_not_infeasible():
+    # the proportional baseline trims every edge by 5 %, which meets them all
+    g, targets = stalled_case()
+    with pytest.raises(GreedyStalled, match=f"no admissible cut left for {g.banks[1]}") as exc:
+        greedy_deleverage(g, targets)
+    assert isinstance(exc.value, DomainError)
+    assert "proportional baseline meets every target" in str(exc.value)
+    assert "infeasible" not in str(exc.value)
+    # a real infeasibility keeps its own message
+    blocked = graph_of([[0, 2, 0], [2, 0, 0], [0, 0, 0]], banks=["A", "B", "C"])
+    with pytest.raises(DomainError, match="infeasible target") as exc:
+        greedy_deleverage(blocked, {"A": 2.0, "B": 0.2}, step=0.2)
+    assert not isinstance(exc.value, GreedyStalled)
+
+
+def test_greedy_stalls_at_the_reference_move():
+    g, targets = stalled_case()
+    t = np.array([targets[b] for b in g.banks])
+    _, moves, stalled = oracles.greedy_reference(g.weights, t, 0.01 * t.max())
+    with pytest.raises(GreedyStalled) as exc:
+        greedy_deleverage(g, targets)
+    assert exc.value.moves == moves > 0
+    assert f"no admissible cut left for {g.banks[stalled]}," in str(exc.value)
+
+
+def assert_greedy_matches_reference(g, targets, step):
+    t = np.array([targets.get(b, 0.0) for b in g.banks])
+    expected, moves, stalled = oracles.greedy_reference(g.weights, t, step)
+    assert stalled is None and moves > 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        out = greedy_deleverage(g, targets, step)
+    assert np.array_equal(out.weights, expected)
+    return moves
+
+
+def test_greedy_matches_reference_on_paper_network(monkeypatch):
+    import fragnet.diffusion as diffusion
+
+    solve = diffusion.lambda2_batch
+    solved = []
+
+    def counting(stack):
+        solved.append(len(stack))
+        return solve(stack)
+
+    monkeypatch.setattr(diffusion, "lambda2_batch", counting)
+    g = build_graph(synthesize_panel({2014: DEFAULT_CALIBRATION[2014]}, seed=42), 2014)
+    pick = [7, 30]
+    target = 0.02 * float(g.degrees()[pick].min())
+    moves = assert_greedy_matches_reference(g, {g.banks[i]: target for i in pick}, target / 10)
+    # about 120 candidates a move, screened down to the few that can win
+    assert moves == 20
+    assert sum(solved) <= 3 * moves
+
+
+def test_greedy_matches_reference_on_complete_graph_ties():
+    # every cut of an owing bank gives the same lambda2 up to rounding
+    g = complete_graph(40, 1.0)
+    assert 2 * 39 > stack_members(40)
+    assert_greedy_matches_reference(g, {"N3": 2.0, "N17": 1.0}, 0.5)
+
+
+def test_greedy_matches_reference_on_disconnected_graph(rng):
+    w = np.zeros((40, 40))
+    w[:20, :20] = random_connected(rng, 20).weights
+    w[20:, 20:] = random_connected(rng, 20).weights
+    g = graph_of(w)
+    assert_greedy_matches_reference(g, {"N2": 0.6, "N25": 0.6}, 0.2)
+
+
+@pytest.mark.parametrize("seed, leaf", [(0, False), (1, False), (2, True)])
+def test_greedy_matches_reference_on_random_graphs(seed, leaf):
+    rng = np.random.default_rng(seed)
+    n = 32 + 6 * seed
+    w = rng.uniform(0.1, 2.0, (n, n)) * (rng.random((n, n)) < 0.5)
+    # a few light edges that a single step removes whole
+    w[rng.random((n, n)) < 0.05] = 1e-3
+    pick = rng.choice(n - 1, size=3, replace=False)
+    if leaf:
+        # an owing bank holds the one light edge of a leaf, so a move may
+        # disconnect the graph
+        w[n - 1], w[:, n - 1] = 0.0, 0.0
+        w[pick[0], n - 1] = 1e-3
+    w = np.triu(w, 1)
+    g = graph_of(w + w.T)
+    target = 0.1 * float(g.degrees()[pick].min())
+    assert_greedy_matches_reference(g, {g.banks[i]: target for i in pick}, target / 4)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,100 @@
+"""Generated inputs through the command line: whatever the scenario file or
+the edge list holds, `fragnet stress` ends with exit code 0, 1 or 2 and never
+lets an exception escape."""
+
+import json
+import math
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from fragnet.cli import main
+
+BANKS = ["A", "B", "C", "D"]
+EDGES = "year,bank_i,bank_j,weight\n2014,A,B,2.0\n2014,B,C,1.0\n2014,C,D,3.0\n2014,A,D,0.5\n"
+
+# JSON values of every kind but positive finite numbers: a tiny dt under a
+# long horizon is valid and runs that many windows
+junk = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4),
+    st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -(10**400)]),
+    st.floats(max_value=0.0), st.integers(max_value=0),
+    st.lists(st.integers(), max_size=2), st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+@st.composite
+def scenarios(draw):
+    """A scenario with at most a few of its fields replaced by any JSON
+    value or left out."""
+    amounts = st.floats(0.01, 20.0)
+    doc = {
+        "shock": draw(st.dictionaries(st.sampled_from(BANKS), amounts, min_size=1, max_size=4)),
+        "capitals": draw(st.fixed_dictionaries({b: amounts for b in BANKS})),
+        "onset": draw(st.floats(0.0, 1.0)),
+        # small enough that a valid scenario runs a few hundred windows
+        "horizon": draw(st.floats(0.1, 2.0)),
+        "dt": draw(st.floats(0.01, 1.0)),
+    }
+    places = sorted(doc) + [f"{m}.{b}" for m in ("shock", "capitals") for b in BANKS + ["E"]]
+    for place in draw(st.sets(st.sampled_from(places), max_size=3)):
+        value = draw(junk)
+        if "." in place:
+            section, bank = place.split(".")
+            if isinstance(doc.get(section), dict):
+                doc[section][bank] = value
+        elif draw(st.booleans()):
+            doc[place] = value
+        else:
+            doc.pop(place)
+    return doc
+
+
+@st.composite
+def edge_lists(draw):
+    """An edge list on four banks with at most a few cells replaced by any
+    text, and now and then a line of anything."""
+    pairs = [(a, b) for k, a in enumerate(BANKS) for b in BANKS[k + 1:]]
+    rows = [
+        ["2014", a, b, repr(draw(st.floats(0.0, 5.0)))]
+        for a, b in draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    ]
+    table = [["year", "bank_i", "bank_j", "weight"]] + rows
+    for _ in range(draw(st.integers(0, 2))):
+        row = table[draw(st.integers(0, len(table) - 1))]
+        cell = draw(st.one_of(st.text(max_size=5), st.floats().map(repr), st.sampled_from(["2016", "A", ""])))
+        col = draw(st.integers(0, 4))
+        if col < len(row):
+            row[col] = cell
+        else:
+            row.append(cell)
+    lines = [",".join(r) for r in table]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.text(max_size=12)))
+    return "\n".join(lines) + "\n", sorted({b for r in rows for b in r[1:3]})
+
+
+def run_stress(edges: str, scenario: str) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "edges.csv").write_text(edges, encoding="utf-8")
+        (tmp / "scenario.json").write_text(scenario, encoding="utf-8")
+        return main(["stress", "--input", str(tmp / "edges.csv"),
+                     "--scenario", str(tmp / "scenario.json"), "--out", str(tmp / "out")])
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=scenarios())
+def test_stress_survives_generated_scenarios(doc):
+    assert run_stress(EDGES, json.dumps(doc)) in (0, 1, 2)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=edge_lists())
+def test_stress_survives_generated_edge_lists(case):
+    text, named = case
+    scenario = {"shock": {b: 1.0 for b in named[:1]}, "horizon": 0.5, "dt": 0.1,
+                "capitals": {b: 1.0 for b in named}}
+    assert run_stress(text, json.dumps(scenario)) in (0, 1, 2)

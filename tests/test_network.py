@@ -331,6 +331,16 @@ def test_edge_csv_rejects_negative_weight(tmp_path):
         graph_from_edge_csv(p)
 
 
+def test_edge_csv_rejects_non_finite_weight(tmp_path):
+    # an infinite weight used to run to exit 0 on NaN metrics; a NaN one
+    # was reported as an asymmetric matrix
+    p = tmp_path / "edges.csv"
+    for weight in ("inf", "nan", "-inf"):
+        p.write_text(f"year,bank_i,bank_j,weight\n2014,A,B,1.0\n2014,B,C,{weight}\n", encoding="utf-8")
+        with pytest.raises(InputError, match=rf"edges.csv: line 3: non-finite weight '{weight}'"):
+            graph_from_edge_csv(p)
+
+
 def test_edge_csv_rejects_self_loop(tmp_path):
     p = tmp_path / "edges.csv"
     p.write_text("year,bank_i,bank_j,weight\n2014,A,A,1.0\n", encoding="utf-8")

@@ -17,6 +17,7 @@ from fragnet.spectral import (
     fragility_metrics,
     lambda2,
     lambda2_batch,
+    lambda2_cut_bounds,
     laplacian,
     mixing_time,
     normalized_laplacian,
@@ -27,6 +28,7 @@ from fragnet.spectral import (
     spectrum,
     spectrum_of,
     spectrum_to_json,
+    stack_members,
 )
 
 
@@ -109,6 +111,63 @@ def test_lambda2_batch_matches_single_solves(rng):
     assert list(got) == [lambda2(w) for w in stack]
     assert got[-1] == 0.0
     assert np.all(got[:-1] > 0.0)
+
+
+def trial_lambda2(w, rows, cols, cuts):
+    stack = np.repeat(w[None], len(rows), axis=0)
+    k = np.arange(len(rows))
+    stack[k, rows, cols] = stack[k, cols, rows] = w[rows, cols] - cuts
+    return lambda2_batch(stack)
+
+
+def every_cut(w, rng, full_share=0.2):
+    """Every edge (i, j) with a random cut, a share of them cut whole."""
+    rows, cols = np.nonzero(w > 0)
+    cuts = w[rows, cols] * rng.uniform(0.0, 1.0, rows.size)
+    whole = rng.random(rows.size) < full_share
+    cuts[whole] = w[rows, cols][whole]
+    return rows, cols, cuts
+
+
+@pytest.mark.parametrize("n, density", [(6, 1.0), (25, 0.3), (60, 0.8), (60, 0.1)])
+def test_cut_bounds_hold_each_trial_lambda2(rng, n, density):
+    w = random_connected(rng, n).weights * (rng.random((n, n)) < density)
+    w = np.triu(w, 1)
+    w = w + w.T
+    rows, cols, cuts = every_cut(w, rng)
+    lo, hi = lambda2_cut_bounds(w, rows, cols, cuts)
+    exact = trial_lambda2(w, rows, cols, cuts)
+    assert np.all(lo <= exact) and np.all(exact <= hi)
+    lam_n = np.linalg.eigvalsh(np.diag(w.sum(axis=1)) - w)[-1]
+    # closed to about twice the 1e-10 lambda_n margin wherever certified
+    certified = lo > 0
+    assert np.all(hi[certified] - lo[certified] <= 2.1e-10 * lam_n)
+    # lo is 0 only where a trial falls to about twice the disconnect threshold
+    assert np.all(certified | (exact < 2 * DISCONNECT_TOL * lam_n + 1e-10 * lam_n))
+
+
+def test_cut_bounds_on_degenerate_and_disconnected_graphs(rng):
+    # complete graph: lambda2 = n w is (n-1)-fold, and cutting (i, j) by c
+    # leaves n w - 2 c
+    w = complete_graph(12, 1.0).weights
+    rows, cols, cuts = every_cut(w, rng, full_share=0.0)
+    lo, hi = lambda2_cut_bounds(w, rows, cols, cuts)
+    assert np.all(lo <= 12 - 2 * cuts + 1e-12) and np.all(12 - 2 * cuts - 1e-12 <= hi)
+    assert np.all(hi - lo <= 2.1e-10 * 12)
+    # a cut of the path's middle edge disconnects it: lo must be 0 there
+    path = np.diag(np.ones(5), 1) + np.diag(np.ones(5), -1)
+    lo, hi = lambda2_cut_bounds(path, np.array([2, 2]), np.array([3, 3]), np.array([1.0, 0.5]))
+    assert lo[0] == 0.0 and lo[1] > 0.0
+    assert np.all(lo <= trial_lambda2(path, np.array([2, 2]), np.array([3, 3]), np.array([1.0, 0.5])))
+    # a disconnected graph gives lo = 0 for every cut
+    w = two_components().weights
+    rows, cols, cuts = every_cut(w, rng)
+    lo, hi = lambda2_cut_bounds(w, rows, cols, cuts)
+    assert np.all(lo == 0.0) and np.all(trial_lambda2(w, rows, cols, cuts) <= hi)
+
+
+def test_stack_members():
+    assert [stack_members(n) for n in (5, 61, 181, 182, 400)] == [1310, 8, 1, 1, 1]
 
 
 def test_only_spectral_module_calls_an_eigensolver():
