@@ -22,19 +22,13 @@ from .network import (
 )
 from .spectral import (
     FragilityMetrics,
-    LaplacianMatrix,
-    LaplacianSpectrum,
     complete_graph_lambda2,
     fragility_metrics,
     lambda2,
     lambda2_batch,
-    laplacian,
     mixing_time,
-    normalized_laplacian,
     quadratic_form,
     spectral_centralities,
-    spectrum,
-    spectrum_of,
 )
 from .diffusion import (
     CascadeResult,
@@ -78,8 +72,6 @@ __all__ = [
     "FragnetError",
     "GreedyStalled",
     "InputError",
-    "LaplacianMatrix",
-    "LaplacianSpectrum",
     "NetworkStats",
     "WeightedGraph",
     "allocate",
@@ -99,19 +91,15 @@ __all__ = [
     "greedy_deleverage",
     "lambda2",
     "lambda2_batch",
-    "laplacian",
     "load_panel",
     "make_series",
     "mixing_time",
     "network_stats",
-    "normalized_laplacian",
     "ols_trend",
     "placebo_test",
     "policy_calculators",
     "quadratic_form",
     "spectral_centralities",
-    "spectrum",
-    "spectrum_of",
     "subgroup_lambda2",
     "symmetrize",
     "synthesize_panel",

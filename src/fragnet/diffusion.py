@@ -20,13 +20,17 @@ from .errors import DomainError, GreedyStalled, InputError
 from .network import WeightedGraph
 from .spectral import (
     DISCONNECT_TOL,
-    LaplacianSpectrum,
+    _lambda2_of,
+    eigenbasis,
     lambda2,
     lambda2_batch,
     lambda2_cut_bounds,
-    spectrum_of,
     stack_members,
 )
+
+# cap on a cascade's ceil(horizon / dt) windows, each of which is solved
+# and recorded
+MAX_WINDOWS = 100_000
 
 
 @dataclass
@@ -66,14 +70,14 @@ class CascadeResult:
     history: list[tuple[float, dict[str, float]]] = field(default_factory=list)
 
 
-def _propagate(spec: LaplacianSpectrum, x: np.ndarray, f: np.ndarray | None, dt: float) -> np.ndarray:
-    """Advance the closed-form solution by dt in the eigenbasis.
+def _propagate(
+    lam: np.ndarray, v: np.ndarray, x: np.ndarray, f: np.ndarray | None, dt: float
+) -> np.ndarray:
+    """Advance the closed-form solution by dt in the eigenbasis (lam, v).
 
     Zero modes keep their state and accumulate their forcing component
     linearly; every other mode decays at its own rate.
     """
-    lam = spec.eigenvalues
-    v = spec.eigenvectors
     y = v.T @ x
     decay = np.exp(-lam * dt)
     out = y * decay
@@ -93,10 +97,11 @@ def evolve(graph: WeightedGraph, x0: DistressState, t: float) -> DistressState:
     """
     if t < 0:
         raise DomainError(f"duration must be non-negative, got {t}")
+    graph.validate()
     x = np.asarray(x0.values, dtype=float)
     if x.shape != (graph.n,):
         raise DomainError(f"state length {x.shape} does not match {graph.n} banks")
-    values = _propagate(spectrum_of(graph), x, None, t)
+    values = _propagate(*eigenbasis(graph.weights), x, None, t)
     return DistressState(values, x0.time + t)
 
 
@@ -109,21 +114,22 @@ def evolve_forced(
     solution adds the forced response; the component of f along the constant
     vector cannot diffuse away and grows linearly in elapsed time.
     """
+    graph.validate()
     x = np.asarray(x0.values, dtype=float)
     if x.shape != (graph.n,):
         raise DomainError(f"state length {x.shape} does not match {graph.n} banks")
     if t < x0.time:
         raise DomainError(f"target time {t} precedes state time {x0.time}")
     forcing.validate(graph.n)
-    spec = spectrum_of(graph)
+    lam, vec = eigenbasis(graph.weights)
     f = np.asarray(forcing.vector, dtype=float)
 
     free_until = min(max(forcing.onset, x0.time), t)
     values = x
     if free_until > x0.time:
-        values = _propagate(spec, values, None, free_until - x0.time)
+        values = _propagate(lam, vec, values, None, free_until - x0.time)
     if t > free_until:
-        values = _propagate(spec, values, f, t - free_until)
+        values = _propagate(lam, vec, values, f, t - free_until)
     return DistressState(values, t)
 
 
@@ -177,8 +183,8 @@ def cascade_stress_test(
     shock.validate(graph.n)
 
     live = list(range(graph.n))
-    spec = spectrum_of(graph)
-    pre_lambda2 = spec.lambda2()
+    lam, vec = eigenbasis(graph.weights)
+    pre_lambda2 = float(_lambda2_of(lam))
     x = np.zeros(len(live))
     f_full = np.asarray(shock.vector, dtype=float)
 
@@ -195,9 +201,9 @@ def cascade_stress_test(
         f = f_full[live]
         free_until = min(max(shock.onset, t_prev), t_end)
         if free_until > t_prev:
-            x = _propagate(spec, x, None, free_until - t_prev)
+            x = _propagate(lam, vec, x, None, free_until - t_prev)
         if t_end > free_until:
-            x = _propagate(spec, x, f, t_end - free_until)
+            x = _propagate(lam, vec, x, f, t_end - free_until)
         t_prev = t_end
 
         hit = [i for i, g in enumerate(live) if x[i] >= cap[g]]
@@ -214,10 +220,10 @@ def cascade_stress_test(
             x = x[keep]
             if not live:
                 break
-            spec = spectrum_of(graph.subgraph(live))
+            lam, vec = eigenbasis(graph.weights[np.ix_(live, live)])
 
-    # spec is the survivors' decomposition whenever any bank survives
-    post_lambda2 = spec.lambda2() if len(live) >= 2 else 0.0
+    # lam holds the survivors' eigenvalues whenever any bank survives
+    post_lambda2 = float(_lambda2_of(lam)) if len(live) >= 2 else 0.0
 
     return CascadeResult(
         failed=failed,
@@ -404,7 +410,8 @@ def load_scenario(path: str | Path, graph: WeightedGraph) -> tuple[ForcingSpec, 
     """Parse a scenario JSON: shock map, onset, horizon, dt, capitals map.
 
     Every value must be a finite JSON number; strings, booleans, NaN and
-    infinities are rejected with the file and the field named.
+    infinities are rejected with the file and the field named, and so is a
+    horizon of more than MAX_WINDOWS windows of length dt.
     """
     path = Path(path)
     if not path.exists():
@@ -437,6 +444,11 @@ def load_scenario(path: str | Path, graph: WeightedGraph) -> tuple[ForcingSpec, 
     onset, horizon, dt = (
         _scenario_number(path, repr(key), doc.get(key, 0.0)) for key in ("onset", "horizon", "dt")
     )
+    if dt > 0 and horizon / dt > MAX_WINDOWS:
+        raise InputError(
+            f"{path}: scenario fields 'horizon' {horizon!r} and 'dt' {dt!r} make "
+            f"{horizon / dt:.6g} windows, more than the {MAX_WINDOWS} allowed"
+        )
     vector = np.array([shock.get(b, 0.0) for b in graph.banks])
     return ForcingSpec(vector, onset=onset), capitals, horizon, dt
 

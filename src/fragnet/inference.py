@@ -9,7 +9,6 @@ calculators built on spectral centrality.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -354,7 +353,11 @@ def bootstrap_did(
 
 
 def load_series_csv(path: str | Path) -> dict[int, float]:
-    """Read a (year, lambda2) override series."""
+    """Read a (year, lambda2) override series.
+
+    Every lambda2 must be a finite non-negative number (0 stands for a
+    disconnected year); errors name the file and the line.
+    """
     path = Path(path)
     if not path.exists():
         raise InputError(f"input file not found: {path}")
@@ -369,13 +372,18 @@ def load_series_csv(path: str | Path) -> dict[int, float]:
             if not row:
                 continue
             if len(row) != 2:
-                raise InputError(f"line {line}: expected 2 fields, got {len(row)}")
+                raise InputError(f"{path}: line {line}: expected 2 fields, got {len(row)}")
             try:
                 year, value = int(row[0]), float(row[1])
             except ValueError as exc:
-                raise InputError(f"line {line}: bad numeric field") from exc
+                raise InputError(f"{path}: line {line}: bad numeric field") from exc
+            if not (math.isfinite(value) and value >= 0.0):
+                raise InputError(
+                    f"{path}: line {line}: lambda2 must be a finite non-negative number, "
+                    f"got {row[1]!r}"
+                )
             if year in values:
-                raise InputError(f"line {line}: duplicate year {year}")
+                raise InputError(f"{path}: line {line}: duplicate year {year}")
             values[year] = value
     if len(values) < 2:
         raise InputError(f"{path}: a series needs at least 2 years")
@@ -398,8 +406,8 @@ def did_to_dict(est: DidEstimate) -> dict:
     return doc
 
 
-def bootstrap_to_dict(result: BootstrapResult, include_replicates: bool = False) -> dict:
-    doc: dict = {
+def bootstrap_to_dict(result: BootstrapResult) -> dict:
+    return {
         "B": result.B,
         "master_seed": result.master_seed,
         "variant": result.variant,
@@ -409,8 +417,3 @@ def bootstrap_to_dict(result: BootstrapResult, include_replicates: bool = False)
         "ci": {str(y): [lo, hi] for y, (lo, hi) in result.ci.items()},
         "p_values": {str(y): p for y, p in result.p_values.items()},
     }
-    if include_replicates:
-        doc["replicates"] = {
-            str(y): [float(v) for v in draws] for y, draws in result.replicates.items()
-        }
-    return doc

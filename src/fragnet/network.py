@@ -11,7 +11,6 @@ with a warning. Self-loops never occur.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -48,9 +47,6 @@ class DirectedExposureMatrix:
     entries: np.ndarray
     # exposure that had no eligible counterparty, per allocating bank
     unallocated: np.ndarray
-
-    def total(self) -> float:
-        return float(self.entries.sum())
 
 
 @dataclass
@@ -349,6 +345,8 @@ def graph_from_edge_csv(path: str | Path) -> WeightedGraph:
 
     The list must hold one year and name each pair once, in either order;
     anything else is ambiguous and rejected with the file and line named.
+    So is a bank whose weights sum beyond the float range, whose degree
+    would be infinite.
     """
     path = Path(path)
     if not path.exists():
@@ -409,26 +407,14 @@ def graph_from_edge_csv(path: str | Path) -> WeightedGraph:
         weights[j, i] = w
     graph = WeightedGraph(banks, weights, year)
     graph.validate()
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(graph.degrees())
+    if not finite.all():
+        k = int(np.argmin(finite))
+        line = min(at for pair, at in pair_line.items() if k in pair)
+        raise InputError(
+            f"{path}: line {line}: the edge weights of bank {banks[k]} sum beyond "
+            f"the float range"
+        )
     return graph
 
-
-def graph_to_json(graph: WeightedGraph, path: str | Path) -> None:
-    doc = {
-        "year": graph.year,
-        "banks": list(graph.banks),
-        "weights": [[float(x) for x in row] for row in graph.weights],
-    }
-    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def graph_from_json(path: str | Path) -> WeightedGraph:
-    path = Path(path)
-    if not path.exists():
-        raise InputError(f"input file not found: {path}")
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON: {exc}") from exc
-    graph = WeightedGraph(list(doc["banks"]), np.array(doc["weights"], dtype=float), int(doc["year"]))
-    graph.validate()
-    return graph

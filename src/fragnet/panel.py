@@ -78,12 +78,6 @@ class ExposurePanel:
     years: list[int]
     records: dict[int, list[BankRecord]]
 
-    def year_total(self, year: int) -> float:
-        return float(sum(r.total_exposure() for r in self.records[year]))
-
-    def bank_counts(self) -> dict[int, int]:
-        return {y: len(self.records[y]) for y in self.years}
-
 
 def _check_lei(lei: str, line: int) -> None:
     if len(lei) != 20 or not lei.isalnum():
@@ -111,16 +105,16 @@ def _parse_money(text: str, line: int, column: str) -> float:
     return value
 
 
-def load_panel(path: str | Path, check_manifest: bool = True) -> ExposurePanel:
+def load_panel(path: str | Path) -> ExposurePanel:
     """Read and validate a panel CSV.
+
+    When ``<stem>.manifest.json`` exists next to the file, its year and
+    bank-count expectations are verified too.
 
     Parameters
     ----------
     path : str or Path
         CSV file in the long-form schema documented at module level.
-    check_manifest : bool
-        When True and ``<stem>.manifest.json`` exists next to the file,
-        year and bank-count expectations are verified against it.
 
     Returns
     -------
@@ -207,10 +201,9 @@ def load_panel(path: str | Path, check_manifest: bool = True) -> ExposurePanel:
 
     panel = ExposurePanel(years=years, records=records)
 
-    if check_manifest:
-        mpath = path.with_suffix(".manifest.json")
-        if mpath.exists():
-            _check_against_manifest(panel, mpath)
+    mpath = path.with_suffix(".manifest.json")
+    if mpath.exists():
+        _check_against_manifest(panel, mpath)
     return panel
 
 
@@ -232,7 +225,7 @@ def _check_against_manifest(panel: ExposurePanel, mpath: Path) -> None:
             )
 
 
-def write_panel(panel: ExposurePanel, path: str | Path, manifest: bool = True) -> None:
+def write_panel(panel: ExposurePanel, path: str | Path) -> None:
     """Write a panel CSV (rows sorted by year, lei, exposure country) plus manifest.
 
     Floats are written with 17 significant digits so load_panel(write_panel(p))
@@ -257,13 +250,12 @@ def write_panel(panel: ExposurePanel, path: str | Path, manifest: bool = True) -
                             _fmt(rec.exposures[exp_country]),
                         ]
                     )
-    if manifest:
-        doc = {
-            "years": panel.years,
-            "bank_counts": {str(y): len(panel.records[y]) for y in panel.years},
-        }
-        mpath = path.with_suffix(".manifest.json")
-        mpath.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    doc = {
+        "years": panel.years,
+        "bank_counts": {str(y): len(panel.records[y]) for y in panel.years},
+    }
+    mpath = path.with_suffix(".manifest.json")
+    mpath.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _calibration_field(path: Path, year: int, cfg: dict, key: str):

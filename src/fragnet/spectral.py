@@ -5,9 +5,9 @@ call through NumPy (`numpy.linalg.eigvalsh`/`eigh`), and this is the only
 module that makes one. Most callers need only lambda2 or the eigenvalues:
 `lambda2_batch(stack)` solves a stack of same-sized networks in one call,
 `lambda2(weights)` is its one-network case, and `fragility_metrics` asks for
-eigenvalues alone. Eigenvectors are computed only by `spectrum`/`spectrum_of`,
-for diffusion and for export, and by `lambda2_cut_bounds`, which screens
-candidate edge cuts from one decomposition.
+eigenvalues alone. Eigenvectors are computed only by `eigenbasis`, for the
+diffusion dynamics, and by `lambda2_cut_bounds`, which screens candidate
+edge cuts from one decomposition.
 A graph counts as disconnected when lambda2 < DISCONNECT_TOL * lambda_n;
 floating-point zero eigenvalues are never exact.
 """
@@ -34,54 +34,6 @@ _CHUNK_ENTRIES = 2**15
 _CUT_MARGIN = 1e-10
 # a cap on bracketing rounds; brackets close in a handful
 _CUT_ITERATIONS = 30
-
-
-@dataclass
-class LaplacianMatrix:
-    entries: np.ndarray
-    banks: list[str]
-    normalized: bool = False
-
-    def validate(self) -> None:
-        m = self.entries
-        scale = max(1.0, float(np.abs(m).max()) if m.size else 0.0)
-        if np.abs(m - m.T).max() > 1e-12 * scale:
-            raise DomainError("Laplacian is not symmetric")
-        off = m - np.diag(np.diag(m))
-        if off.max() > 1e-12 * scale:
-            raise DomainError("Laplacian has positive off-diagonal entries")
-        if not self.normalized:
-            d = np.diag(m)
-            tol = 1e-9 * np.maximum(np.abs(d), 1.0)
-            if np.any(np.abs(m.sum(axis=1)) > tol):
-                raise DomainError("Laplacian rows do not sum to zero")
-
-
-@dataclass
-class LaplacianSpectrum:
-    """Ascending eigenvalues with orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    banks: list[str]
-    normalized: bool = False
-
-    @property
-    def lambda_max(self) -> float:
-        return float(self.eigenvalues[-1])
-
-    def is_connected(self) -> bool:
-        return bool(_connected(self.eigenvalues))
-
-    def lambda2(self) -> float:
-        """Algebraic connectivity; 0 for a disconnected graph."""
-        return float(_lambda2_of(self.eigenvalues))
-
-    def zero_multiplicity(self) -> int:
-        lam = self.eigenvalues
-        if lam[-1] <= 0:
-            return len(lam)
-        return int(np.sum(lam < DISCONNECT_TOL * lam[-1]))
 
 
 @dataclass
@@ -159,6 +111,16 @@ def lambda2(weights: np.ndarray) -> float:
     return float(lambda2_batch(weights[None])[0])
 
 
+def eigenbasis(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of L = D - W with orthonormal eigenvector
+    columns, for the diffusion dynamics.
+
+    The weights are taken as given, as in `lambda2_batch`. Eigenvector signs
+    are whatever the solver returns.
+    """
+    return _eigh(_laplacian_entries(weights), eigvals_only=False)
+
+
 def lambda2_cut_bounds(
     weights: np.ndarray, rows: np.ndarray, cols: np.ndarray, cuts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -183,7 +145,7 @@ def lambda2_cut_bounds(
     lambda_n, so may count as disconnected, and for every candidate when the
     current network already does.
     """
-    lam, vec = _eigh(_laplacian_entries(weights), eigvals_only=False)
+    lam, vec = eigenbasis(weights)
     margin = _CUT_MARGIN * lam[-1]
     lo = np.zeros(len(rows))
     # a downdate never raises an eigenvalue
@@ -237,65 +199,6 @@ def lambda2_cut_bounds(
         p_hi = np.maximum(np.where(np.isfinite(p_hi), p_hi, hi), lo + 0.5 * resolution)
         p_lo = np.minimum(np.where(np.isfinite(p_lo), p_lo, lo), hi - 0.5 * resolution)
     return np.where(lo > 0, lo - margin, 0.0), hi + margin
-
-
-def laplacian(graph: WeightedGraph) -> LaplacianMatrix:
-    """Standard form L = D - A with D the diagonal of row sums."""
-    graph.validate()
-    return LaplacianMatrix(_laplacian_entries(graph.weights), list(graph.banks), normalized=False)
-
-
-def normalized_laplacian(graph: WeightedGraph) -> LaplacianMatrix:
-    """Normalized form I - D^{-1/2} A D^{-1/2}; eigenvalues lie in [0, 2]."""
-    graph.validate()
-    d = graph.degrees()
-    if np.any(d <= 0):
-        isolated = graph.banks[int(np.argmin(d))]
-        raise DomainError(f"isolated bank {isolated} has zero degree")
-    return LaplacianMatrix(_normalized_entries(graph.weights, d), list(graph.banks), normalized=True)
-
-
-def spectrum(lap: LaplacianMatrix) -> LaplacianSpectrum:
-    """Full eigendecomposition, ascending, with a reproducible sign convention.
-
-    Each eigenvector's first component of non-negligible magnitude is made
-    positive. Degenerate eigenspaces keep whatever orthonormal basis the
-    solver returns; callers must compare projectors, not raw columns.
-    """
-    lap.validate()
-    lam, vec = _eigh(lap.entries, eigvals_only=False)
-    for k in range(vec.shape[1]):
-        col = vec[:, k]
-        nz = np.nonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0]
-        if nz.size and col[nz[0]] < 0:
-            vec[:, k] = -col
-    return LaplacianSpectrum(lam, vec, list(lap.banks), lap.normalized)
-
-
-def spectrum_of(graph: WeightedGraph) -> LaplacianSpectrum:
-    return spectrum(laplacian(graph))
-
-
-def pseudo_inverse(spec: LaplacianSpectrum) -> np.ndarray:
-    """Invert on the span of the non-zero modes, zero on the rest."""
-    lam = spec.eigenvalues
-    inv = np.zeros_like(lam)
-    if lam[-1] > 0:
-        nonzero = lam >= DISCONNECT_TOL * lam[-1]
-        inv[nonzero] = 1.0 / lam[nonzero]
-    v = spec.eigenvectors
-    return (v * inv[None, :]) @ v.T
-
-
-def resistance_distances(spec: LaplacianSpectrum) -> np.ndarray:
-    """Pairwise resistance distances r_ij = P_ii + P_jj - 2 P_ij.
-
-    `fragility_metrics` needs only their mean, which it takes from the
-    eigenvalues; this matrix route is the pairwise reference.
-    """
-    p = pseudo_inverse(spec)
-    d = np.diag(p)
-    return d[:, None] + d[None, :] - 2.0 * p
 
 
 def fragility_metrics(graph: WeightedGraph) -> FragilityMetrics:
@@ -394,27 +297,11 @@ def quadratic_form(graph: WeightedGraph, x: np.ndarray) -> float:
     return float(0.5 * np.sum(graph.weights * diff * diff))
 
 
-def eigenvalues_to_json(
-    eigenvalues: np.ndarray,
-    banks: list[str],
-    path: str | Path,
-    normalized: bool = False,
-    eigenvectors: np.ndarray | None = None,
-) -> None:
-    """Export ascending eigenvalues, and the eigenvector rows when given."""
-    doc: dict = {
+def eigenvalues_to_json(eigenvalues: np.ndarray, banks: list[str], path: str | Path) -> None:
+    """Export the ascending eigenvalues of a standard Laplacian."""
+    doc = {
         "eigenvalues": [float(v) for v in eigenvalues],
         "bank_order": list(banks),
-        "normalized": normalized,
+        "normalized": False,
     }
-    if eigenvectors is not None:
-        doc["eigenvectors"] = [[float(x) for x in row] for row in eigenvectors]
     Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def spectrum_to_json(
-    spec: LaplacianSpectrum, path: str | Path, include_vectors: bool = False
-) -> None:
-    """Export eigenvalues (and optionally the basis-dependent vectors)."""
-    vectors = spec.eigenvectors if include_vectors else None
-    eigenvalues_to_json(spec.eigenvalues, spec.banks, path, spec.normalized, vectors)

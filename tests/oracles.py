@@ -94,17 +94,40 @@ def bisect_eigenvalues(matrix, max_iter: int = 100) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# time-stepping integrators for dx/dt = -L x + f
+# the Laplacian, its pseudo-inverse and resistance distances
 
 
-def _laplacian(weights: np.ndarray) -> np.ndarray:
+def laplacian(weights) -> np.ndarray:
+    """L = D - W, with D the diagonal of row sums."""
     w = np.asarray(weights, dtype=float)
     return np.diag(w.sum(axis=1)) - w
 
 
+def pseudo_inverse(weights) -> np.ndarray:
+    """Moore-Penrose inverse of the Laplacian of a connected graph, through
+    the identity L+ = (L + J/n)^-1 - J/n with J the all-ones matrix: one
+    dense inverse, no eigendecomposition."""
+    lap = laplacian(weights)
+    n = len(lap)
+    mean = np.full((n, n), 1.0 / n)
+    return np.linalg.inv(lap + mean) - mean
+
+
+def resistance_distances(weights) -> np.ndarray:
+    """Pairwise resistance distances r_ij = P_ii + P_jj - 2 P_ij of a
+    connected graph, P the Laplacian pseudo-inverse."""
+    p = pseudo_inverse(weights)
+    d = np.diag(p)
+    return d[:, None] + d[None, :] - 2.0 * p
+
+
+# ---------------------------------------------------------------------------
+# time-stepping integrators for dx/dt = -L x + f
+
+
 def rk4_diffusion(weights, x0, duration: float, n_steps: int, forcing=None) -> np.ndarray:
     """Classic fixed-step RK4 for constant forcing (or none)."""
-    lap = _laplacian(weights)
+    lap = laplacian(weights)
     x = np.asarray(x0, dtype=float).copy()
     f = np.zeros(len(x)) if forcing is None else np.asarray(forcing, dtype=float)
     h = duration / n_steps
@@ -123,7 +146,7 @@ def rk4_diffusion(weights, x0, duration: float, n_steps: int, forcing=None) -> n
 
 def euler_forced(weights, x0, duration: float, n_steps: int, forcing=None) -> np.ndarray:
     """Explicit Euler; first order, used where RK4 would feel too clever."""
-    lap = _laplacian(weights)
+    lap = laplacian(weights)
     x = np.asarray(x0, dtype=float).copy()
     f = np.zeros(len(x)) if forcing is None else np.asarray(forcing, dtype=float)
     h = duration / n_steps
@@ -166,7 +189,7 @@ def euler_cascade(
     t_prev = 0.0
     for k in range(1, n_windows + 1):
         t_end = min(k * dt, horizon)
-        lap = _laplacian(w_full[np.ix_(live, live)])
+        lap = laplacian(w_full[np.ix_(live, live)])
         f = f_full[live]
         h = (t_end - t_prev) / substeps
         for s in range(substeps):

@@ -11,6 +11,7 @@ import pytest
 from conftest import graph_of
 from fragnet.cli import main
 from fragnet.network import graph_from_edge_csv, graph_to_edge_csv
+from fragnet.panel import load_panel
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -277,6 +278,28 @@ def test_reruns_are_byte_identical(tmp_path):
     for name in ("did.json", "did_level.csv", "did_detrended.csv", "bootstrap.csv"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
+    # the other commands on the same panel; the cascade has several rounds,
+    # since the shocked bank holds and the others fail one after another
+    banks = [r.lei for r in load_panel(p1).records[2014]]
+    capitals = {b: 0.5 + 0.1 * k for k, b in enumerate(banks)}
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"shock": {banks[0]: 500.0}, "onset": 0.01, "horizon": 0.5,
+                                    "dt": 0.01, "capitals": {**capitals, banks[0]: 1e3}}), encoding="utf-8")
+    runs = {
+        "build": ["build", "--input", str(p1), "--method", "size"],
+        "analyze": ["analyze", "--input", str(p1), "--spectra"],
+        "stress": ["stress", "--input", str(tmp_path / "build1" / "edges_2014.csv"),
+                   "--scenario", str(scenario)],
+    }
+    for command, argv in runs.items():
+        outs = [tmp_path / f"{command}1", tmp_path / f"{command}2"]
+        for out in outs:
+            assert main(argv + ["--out", str(out)]) == 0
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir()) and names
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
 
 def test_stress_command_runs_scenario(tmp_path):
     w = np.array([[0, 5, 1, 0], [5, 0, 4, 1], [1, 4, 0, 3], [0, 1, 3, 0]], dtype=float)
@@ -347,6 +370,14 @@ def test_stress_rejects_repeated_edge_pair(tmp_path, capsys):
         assert run_stress_on_edges(tmp_path, rows) == 2
         err = capsys.readouterr().err
         assert "edges.csv" in err and "line 4" in err and "line 2" in err, err
+
+
+def test_stress_rejects_edge_weights_whose_sum_overflows(tmp_path, capsys):
+    # each weight is finite, but every bank's degree is 2e308
+    rows = ["2014,A,B,1e308", "2014,B,C,1e308", "2014,A,C,1e308"]
+    assert run_stress_on_edges(tmp_path, rows) == 2
+    err = capsys.readouterr().err
+    assert "edges.csv" in err and "line 2" in err and "bank A" in err, err
 
 
 def test_stress_rejects_edge_list_mixing_years(tmp_path, capsys):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import complete_graph, graph_of, random_connected
 from fragnet.diffusion import (
+    MAX_WINDOWS,
     CascadeResult,
     DistressState,
     ForcingSpec,
@@ -26,7 +27,7 @@ from fragnet.cli import DEFAULT_CALIBRATION
 from fragnet.errors import DomainError, GreedyStalled, InputError
 from fragnet.network import allocate, build_graph, symmetrize
 from fragnet.panel import synthesize_panel
-from fragnet.spectral import mixing_time, pseudo_inverse, spectrum_of, stack_members
+from fragnet.spectral import eigenbasis, lambda2, mixing_time, stack_members
 
 
 def abcd_graph(w=1.0):
@@ -59,7 +60,7 @@ def test_two_node_half_life():
 def test_long_run_reaches_mean(rng):
     g = random_connected(rng, 6)
     x0 = rng.uniform(0, 10, 6)
-    out = evolve(g, DistressState(x0), 200.0 / spectrum_of(g).lambda2())
+    out = evolve(g, DistressState(x0), 200.0 / lambda2(g.weights))
     assert np.allclose(out.values, x0.mean(), atol=1e-9)
 
 
@@ -101,11 +102,11 @@ def test_evolve_domain_errors():
 def test_mixing_time_residual_is_epsilon():
     rng = np.random.default_rng(77)
     g = random_connected(rng, 6)
-    spec = spectrum_of(g)
-    v2 = spec.eigenvectors[:, 1]
+    lam, vec = eigenbasis(g.weights)
+    v2 = vec[:, 1]
     x0 = 3.0 * np.ones(6) + v2
     for eps in (0.1, 0.01):
-        t = mixing_time(spec.lambda2(), eps)
+        t = mixing_time(lam[1], eps)
         out = evolve(g, DistressState(x0), t)
         residual = np.linalg.norm(out.values - 3.0)
         assert residual == pytest.approx(eps * np.linalg.norm(v2), rel=1e-6)
@@ -142,10 +143,9 @@ def test_balanced_forcing_settles_at_pseudo_inverse(rng):
     g = random_connected(rng, 5)
     f = rng.uniform(0, 2, 5)
     f -= f.mean()
-    spec = spectrum_of(g)
-    t = 60.0 / spec.lambda2()
+    t = 60.0 / lambda2(g.weights)
     out = evolve_forced(g, DistressState(np.zeros(5)), ForcingSpec(f), t)
-    assert np.allclose(out.values, pseudo_inverse(spec) @ f, atol=1e-8)
+    assert np.allclose(out.values, oracles.pseudo_inverse(g.weights) @ f, atol=1e-8)
 
 
 def test_uniform_forcing_grows_mean_linearly():
@@ -360,8 +360,8 @@ def test_greedy_meets_targets_and_matches_exhaustive_search():
     with _w.catch_warnings():
         _w.simplefilter("error")
         out = greedy_deleverage(g, targets, step=0.5)
-    lam_out = spectrum_of(out).lambda2()
-    assert spectrum_of(g).lambda2() == pytest.approx(2.1351148459220464, rel=1e-9)
+    lam_out = lambda2(out.weights)
+    assert lambda2(g.weights) == pytest.approx(2.1351148459220464, rel=1e-9)
     assert lam_out == pytest.approx(1.0999474527999915, rel=1e-9)
     best = oracles.enumerate_deleverage(w, [1.0, 0.0, 0.5, 0.0], 0.5)
     assert lam_out == pytest.approx(best, rel=1e-9)
@@ -547,6 +547,9 @@ def test_load_scenario_round_trip(tmp_path):
     assert forcing.onset == 0.0
     assert capitals == scenario_doc()["capitals"]
     assert (horizon, dt) == (2.0, 0.2)
+    # the most windows a scenario may ask for
+    path.write_text(json.dumps({**scenario_doc(), "horizon": float(MAX_WINDOWS), "dt": 1.0}), encoding="utf-8")
+    assert load_scenario(path, g)[2:] == (MAX_WINDOWS, 1.0)
 
 
 def test_load_scenario_errors(tmp_path):
@@ -592,6 +595,10 @@ def test_load_scenario_errors(tmp_path):
         ("shock", {"A": None}),
         ("capitals", {"A": float("nan"), "B": 10.0, "C": 10.0, "D": 10.0}),
         ("capitals", [1.0, 10.0, 10.0, 10.0]),
+        # more than MAX_WINDOWS windows of dt, the last ratio beyond the float range
+        ("horizon", 1e6),
+        ("dt", 1e-8),
+        ("dt", 5e-324),
     ],
 )
 def test_load_scenario_rejects_bad_values(tmp_path, field, value):

@@ -1,6 +1,7 @@
 """Generated inputs through the command line: whatever the scenario file or
 the edge list holds, `fragnet stress` ends with exit code 0, 1 or 2 and never
-lets an exception escape."""
+lets an exception escape; so do `fragnet did --series` and
+`fragnet analyze --series`, whatever the series file holds."""
 
 import json
 import math
@@ -15,8 +16,7 @@ from fragnet.cli import main
 BANKS = ["A", "B", "C", "D"]
 EDGES = "year,bank_i,bank_j,weight\n2014,A,B,2.0\n2014,B,C,1.0\n2014,C,D,3.0\n2014,A,D,0.5\n"
 
-# JSON values of every kind but positive finite numbers: a tiny dt under a
-# long horizon is valid and runs that many windows
+# JSON values of every kind but positive finite numbers
 junk = st.one_of(
     st.none(), st.booleans(), st.text(max_size=4),
     st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -(10**400)]),
@@ -34,9 +34,10 @@ def scenarios(draw):
         "shock": draw(st.dictionaries(st.sampled_from(BANKS), amounts, min_size=1, max_size=4)),
         "capitals": draw(st.fixed_dictionaries({b: amounts for b in BANKS})),
         "onset": draw(st.floats(0.0, 1.0)),
-        # small enough that a valid scenario runs a few hundred windows
+        # a valid scenario runs at most a few hundred windows; a tiny dt
+        # asks for more than MAX_WINDOWS and is rejected
         "horizon": draw(st.floats(0.1, 2.0)),
-        "dt": draw(st.floats(0.01, 1.0)),
+        "dt": draw(st.one_of(st.floats(0.01, 1.0), st.floats(0.0, 1e-7, exclude_min=True))),
     }
     places = sorted(doc) + [f"{m}.{b}" for m in ("shock", "capitals") for b in BANKS + ["E"]]
     for place in draw(st.sets(st.sampled_from(places), max_size=3)):
@@ -98,3 +99,39 @@ def test_stress_survives_generated_edge_lists(case):
     scenario = {"shock": {b: 1.0 for b in named[:1]}, "horizon": 0.5, "dt": 0.1,
                 "capitals": {b: 1.0 for b in named}}
     assert run_stress(text, json.dumps(scenario)) in (0, 1, 2)
+
+
+# the default --pre and --post years
+YEARS = ["2014", "2016", "2018", "2021", "2023"]
+
+
+@st.composite
+def series_texts(draw):
+    """A year,lambda2 table over the default years with at most a few cells
+    replaced by any float or short text, now and then a row dropped, and a
+    broken header or a line of anything."""
+    rows = [[y, repr(draw(st.floats(0.0, 1e4)))] for y in YEARS]
+    cells = st.one_of(
+        st.floats().map(repr), st.sampled_from(["0", "-0", "-1", "1e308", "2019", ""]),
+        st.text(max_size=4),
+    )
+    for _ in range(draw(st.integers(0, 2))):
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, 1))] = draw(cells)
+    if draw(st.integers(0, 3)) == 0:
+        rows.pop(draw(st.integers(0, len(rows) - 1)))
+    lines = ["year,lambda2"] + [",".join(r) for r in rows]
+    if draw(st.integers(0, 5)) == 0:
+        lines[0] = draw(st.sampled_from(["year,lambda", "", "year,lambda2,extra"]))
+    if draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.text(max_size=12)))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=series_texts(), command=st.sampled_from(["did", "analyze"]))
+def test_series_commands_survive_generated_series(text, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "series.csv").write_text(text, encoding="utf-8")
+        rc = main([command, "--series", str(tmp / "series.csv"), "--out", str(tmp / "out")])
+    assert rc in (0, 1, 2)

@@ -25,7 +25,7 @@ from fragnet.inference import (
 )
 from fragnet.network import allocate, symmetrize
 from fragnet.panel import ExposurePanel, synthesize_panel
-from fragnet.spectral import spectrum_of
+from fragnet.spectral import lambda2
 
 OBSERVED = {2014: 1322.87, 2016: 1797.59, 2018: 2037.42, 2021: 2007.23, 2023: 2181.96}
 PRE = (2014, 2016, 2018)
@@ -351,7 +351,7 @@ def pre_mean_lambda2(panel):
     vals = []
     for year in PRE:
         g = symmetrize(allocate(panel.records[year], "equal"), year)
-        vals.append(spectrum_of(g).lambda2())
+        vals.append(lambda2(g.weights))
     return float(np.mean(vals))
 
 
@@ -390,9 +390,13 @@ def test_load_series_csv_errors(tmp_path):
         load_series_csv(bad_header)
 
     bad_field = tmp_path / "f.csv"
-    bad_field.write_text("year,lambda2\n2014,abc\n", encoding="utf-8")
-    with pytest.raises(InputError, match="line 2"):
-        load_series_csv(bad_field)
+    for value in ("abc", "nan", "inf", "-1.5"):
+        bad_field.write_text(f"year,lambda2\n2014,{value}\n", encoding="utf-8")
+        with pytest.raises(InputError, match=r"f\.csv: line 2: "):
+            load_series_csv(bad_field)
+    # a disconnected year reads lambda2 = 0
+    bad_field.write_text("year,lambda2\n2014,0\n2016,1.5\n", encoding="utf-8")
+    assert load_series_csv(bad_field) == {2014: 0.0, 2016: 1.5}
 
     dup = tmp_path / "d.csv"
     dup.write_text("year,lambda2\n2014,1.0\n2014,2.0\n", encoding="utf-8")
@@ -421,8 +425,6 @@ def test_bootstrap_to_dict_fields():
     assert doc["B"] == 100 and doc["master_seed"] == 4
     assert set(doc["ci"]) == {"2021", "2023"}
     assert "replicates" not in doc
-    with_reps = bootstrap_to_dict(boot, include_replicates=True)
-    assert len(with_reps["replicates"]["2021"]) == 100
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,7 @@ from fragnet.network import (
     allocate_arrays,
     build_graph,
     graph_from_edge_csv,
-    graph_from_json,
     graph_to_edge_csv,
-    graph_to_json,
     network_stats,
     symmetrize,
     validate_conservation,
@@ -346,15 +344,6 @@ def test_edge_csv_rejects_self_loop(tmp_path):
     p.write_text("year,bank_i,bank_j,weight\n2014,A,A,1.0\n", encoding="utf-8")
     with pytest.raises(InputError):
         graph_from_edge_csv(p)
-
-
-def test_json_round_trip(tmp_path):
-    g = build_graph_from_records(three_banks())
-    path = tmp_path / "graph.json"
-    graph_to_json(g, path)
-    back = graph_from_json(path)
-    assert back.banks == g.banks
-    assert np.allclose(back.weights, g.weights)
 
 
 # ---------------------------------------------------------------------------

@@ -14,20 +14,15 @@ from fragnet.errors import DomainError
 from fragnet.spectral import (
     DISCONNECT_TOL,
     complete_graph_lambda2,
+    eigenbasis,
+    eigenvalues_to_json,
     fragility_metrics,
     lambda2,
     lambda2_batch,
     lambda2_cut_bounds,
-    laplacian,
     mixing_time,
-    normalized_laplacian,
-    pseudo_inverse,
     quadratic_form,
-    resistance_distances,
     spectral_centralities,
-    spectrum,
-    spectrum_of,
-    spectrum_to_json,
     stack_members,
 )
 
@@ -48,60 +43,46 @@ def two_components():
 
 
 # ---------------------------------------------------------------------------
-# Laplacian construction
+# the eigenbasis of L = D - W
 
 
 def test_two_node_laplacian():
-    lap = laplacian(graph_of([[0, 3], [3, 0]]))
-    assert lap.entries.tolist() == [[3.0, -3.0], [-3.0, 3.0]]
+    lam, vec = eigenbasis(graph_of([[0, 3], [3, 0]]).weights)
+    assert np.allclose(lam, [0.0, 6.0], atol=1e-12)
+    assert np.allclose((vec * lam) @ vec.T, [[3.0, -3.0], [-3.0, 3.0]], atol=1e-12)
 
 
 def test_laplacian_annihilates_constants(rng):
     g = random_connected(rng, 7)
-    lap = laplacian(g)
-    assert np.abs(lap.entries @ np.ones(7)).max() < 1e-9
+    lam, vec = eigenbasis(g.weights)
+    lap = (vec * lam) @ vec.T
+    assert np.allclose(lap, oracles.laplacian(g.weights), atol=1e-9)
+    assert np.abs(lap @ np.ones(7)).max() < 1e-9
 
 
 def test_complete_graph_spectrum():
-    spec = spectrum_of(complete_graph(4, 1.0))
-    assert np.allclose(spec.eigenvalues, [0.0, 4.0, 4.0, 4.0], atol=1e-12)
-    assert spec.lambda2() == pytest.approx(4.0)
-    assert spec.lambda_max == pytest.approx(4.0)
+    lam, _ = eigenbasis(complete_graph(4, 1.0).weights)
+    assert np.allclose(lam, [0.0, 4.0, 4.0, 4.0], atol=1e-12)
+    assert lambda2(complete_graph(4, 1.0).weights) == pytest.approx(4.0)
 
 
 def test_spectrum_matches_bisection_oracle(rng):
     for _ in range(5):
         g = random_connected(rng, 4)
-        got = spectrum_of(g).eigenvalues
-        want = oracles.bisect_eigenvalues(laplacian(g).entries)
+        got = eigenbasis(g.weights)[0]
+        want = oracles.bisect_eigenvalues(oracles.laplacian(g.weights))
         assert np.allclose(got, want, rtol=1e-7, atol=1e-7)
 
 
 def test_eigenvectors_orthonormal(rng):
-    spec = spectrum_of(random_connected(rng, 6))
-    v = spec.eigenvectors
+    _, v = eigenbasis(random_connected(rng, 6).weights)
     assert np.allclose(v.T @ v, np.eye(6), atol=1e-9)
-
-
-def test_eigenvector_sign_convention(rng):
-    spec = spectrum_of(random_connected(rng, 5))
-    for k in range(5):
-        col = spec.eigenvectors[:, k]
-        nz = np.nonzero(np.abs(col) > 1e-12)[0]
-        assert col[nz[0]] > 0
-
-
-def test_laplacian_validate_catches_tampering():
-    lap = laplacian(complete_graph(3))
-    lap.entries[0, 1] = 5.0
-    with pytest.raises(DomainError):
-        lap.validate()
 
 
 def test_lambda2_kernel_matches_full_spectrum(rng):
     for n in (3, 8, 40):
         g = random_connected(rng, n)
-        assert lambda2(g.weights) == pytest.approx(spectrum_of(g).lambda2(), rel=1e-12)
+        assert lambda2(g.weights) == pytest.approx(eigenbasis(g.weights)[0][1], rel=1e-12)
 
 
 def test_lambda2_batch_matches_single_solves(rng):
@@ -185,28 +166,21 @@ def test_only_spectral_module_calls_an_eigensolver():
 
 
 def test_normalized_two_node_spectrum():
-    spec = spectrum(normalized_laplacian(graph_of([[0, 3], [3, 0]])))
-    assert np.allclose(spec.eigenvalues, [0.0, 2.0], atol=1e-12)
+    fm = fragility_metrics(graph_of([[0, 3], [3, 0]]))
+    assert fm.normalized_lambda2 == pytest.approx(2.0, abs=1e-12)
 
 
 def test_normalized_regular_graph_is_scaled_standard():
-    g = complete_graph(4, 2.0)
-    spec = spectrum(normalized_laplacian(g))
+    fm = fragility_metrics(complete_graph(4, 2.0))
     # degree 6 everywhere, so eigenvalues are the standard ones over 6
-    assert np.allclose(spec.eigenvalues, [0.0, 8 / 6, 8 / 6, 8 / 6], atol=1e-12)
-
-
-def test_normalized_rejects_isolated_bank():
-    g = graph_of([[0, 1, 0], [1, 0, 0], [0, 0, 0]], banks=["A", "B", "loner"])
-    with pytest.raises(DomainError, match="loner"):
-        normalized_laplacian(g)
+    assert fm.normalized_lambda2 == pytest.approx(fm.lambda2 / 6, rel=1e-12)
+    assert fm.normalized_lambda2 == pytest.approx(8 / 6, abs=1e-12)
 
 
 def test_normalized_eigenvalues_in_unit_range(rng):
     for _ in range(5):
-        spec = spectrum(normalized_laplacian(random_connected(rng, 6)))
-        assert spec.eigenvalues[0] == pytest.approx(0.0, abs=1e-10)
-        assert spec.eigenvalues[-1] <= 2.0 + 1e-10
+        fm = fragility_metrics(random_connected(rng, 6))
+        assert 0.0 < fm.normalized_lambda2 <= 2.0 + 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -214,20 +188,10 @@ def test_normalized_eigenvalues_in_unit_range(rng):
 
 
 def test_disconnected_lambda2_is_zero():
-    spec = spectrum_of(two_components())
-    assert not spec.is_connected()
-    assert spec.lambda2() == 0.0
-    assert spec.zero_multiplicity() == 2
+    fm = fragility_metrics(two_components())
+    assert not fm.connected
+    assert fm.lambda2 == 0.0
     assert lambda2(two_components().weights) == 0.0
-
-
-def test_zero_multiplicity_counts_components(rng):
-    blocks = [random_connected(rng, 3).weights for _ in range(3)]
-    m = np.zeros((9, 9))
-    for k, b in enumerate(blocks):
-        m[3 * k : 3 * k + 3, 3 * k : 3 * k + 3] = b
-    spec = spectrum_of(graph_of(m, banks=[f"N{i}" for i in range(9)]))
-    assert spec.zero_multiplicity() == 3
 
 
 def test_connectivity_threshold_is_relative():
@@ -236,7 +200,8 @@ def test_connectivity_threshold_is_relative():
         [[0, 1e3, 1e-9, 0], [1e3, 0, 0, 0], [1e-9, 0, 0, 1e3], [0, 0, 1e3, 0]],
         banks=["A", "B", "C", "D"],
     )
-    assert not spectrum_of(g).is_connected()
+    assert not fragility_metrics(g).connected
+    assert lambda2(g.weights) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -244,28 +209,32 @@ def test_connectivity_threshold_is_relative():
 
 
 def test_pseudo_inverse_inverts_off_kernel(rng):
+    # the reference pseudo-inverse, and the same matrix from the eigenbasis
     g = random_connected(rng, 5)
-    lap = laplacian(g).entries
-    p = pseudo_inverse(spectrum_of(g))
+    lap = oracles.laplacian(g.weights)
+    p = oracles.pseudo_inverse(g.weights)
     proj = np.eye(5) - np.full((5, 5), 1 / 5)
     assert np.allclose(lap @ p, proj, atol=1e-9)
     assert np.allclose(p @ np.ones(5), 0.0, atol=1e-9)
+    lam, vec = eigenbasis(g.weights)
+    assert np.allclose((vec[:, 1:] / lam[1:]) @ vec[:, 1:].T, p, atol=1e-9)
 
 
 def test_avg_resistance_matches_pairwise_reference(rng):
     # the eigenvalue-only metric against the pseudo-inverse route
     for n in (3, 6, 11):
         g = random_connected(rng, n)
-        r = resistance_distances(spectrum_of(g))
+        r = oracles.resistance_distances(g.weights)
         want = r[np.triu_indices(n, k=1)].mean()
         assert fragility_metrics(g).avg_resistance_distance == pytest.approx(want, rel=1e-9)
 
 
 def test_complete_graph_resistances():
-    r = resistance_distances(spectrum_of(complete_graph(4, 1.0)))
+    r = oracles.resistance_distances(complete_graph(4, 1.0).weights)
     off = r[np.triu_indices(4, k=1)]
     assert np.allclose(off, 0.5, atol=1e-12)
     assert np.allclose(np.diag(r), 0.0, atol=1e-12)
+    assert fragility_metrics(complete_graph(4, 1.0)).avg_resistance_distance == pytest.approx(0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +309,7 @@ def test_centrality_complete_graph_uniform():
 def test_centrality_hub_dominates_leaf():
     g = star_graph()
     cents = spectral_centralities(g)
-    assert cents["hub"] == pytest.approx(spectrum_of(g).lambda2())
+    assert cents["hub"] == pytest.approx(lambda2(g.weights))
     assert cents["hub"] > cents["a"] + 0.5
     assert cents["a"] == pytest.approx(cents["b"])
 
@@ -358,9 +327,7 @@ def test_complete_graph_closed_form():
     assert complete_graph_lambda2(2, 3.0) == pytest.approx(6.0)
     g = complete_graph(5, 2.0)
     total = g.total_weight()
-    assert spectrum_of(g).lambda2() == pytest.approx(
-        complete_graph_lambda2(5, total), rel=1e-12
-    )
+    assert lambda2(g.weights) == pytest.approx(complete_graph_lambda2(5, total), rel=1e-12)
 
 
 def test_consolidation_factor_at_constant_exposure():
@@ -382,7 +349,7 @@ def test_closed_form_domain_errors():
 
 def test_quadratic_form_matches_matrix(rng):
     g = random_connected(rng, 6)
-    lap = laplacian(g).entries
+    lap = oracles.laplacian(g.weights)
     for _ in range(3):
         x = rng.normal(size=6)
         assert quadratic_form(g, x) == pytest.approx(x @ lap @ x, rel=1e-9)
@@ -395,7 +362,7 @@ def test_quadratic_form_rejects_wrong_length():
 
 def test_rayleigh_quotient_bounded_below_by_lambda2(rng):
     g = random_connected(rng, 8)
-    lam2 = spectrum_of(g).lambda2()
+    lam2 = lambda2(g.weights)
     for _ in range(10):
         x = rng.normal(size=8)
         x -= x.mean()
@@ -410,7 +377,7 @@ def test_rayleigh_quotient_bounded_below_by_lambda2(rng):
 def test_lambda2_bounded_by_min_degree(rng):
     for _ in range(10):
         g = random_connected(rng, 6)
-        lam2 = spectrum_of(g).lambda2()
+        lam2 = lambda2(g.weights)
         n = g.n
         assert lam2 <= n / (n - 1) * g.degrees().min() + 1e-9
 
@@ -419,7 +386,7 @@ def test_cheeger_inequality(rng):
     for _ in range(8):
         g = random_connected(rng, 6)
         h = oracles.min_conductance(g.weights)
-        lam2 = spectrum(normalized_laplacian(g)).lambda2()
+        lam2 = fragility_metrics(g).normalized_lambda2
         assert lam2 / 2 <= h + 1e-9
         assert h <= math.sqrt(2 * lam2) + 1e-9
 
@@ -429,18 +396,14 @@ def test_cheeger_inequality(rng):
 
 
 def test_spectrum_to_json(tmp_path):
-    spec = spectrum_of(complete_graph(3, 1.0))
+    g = complete_graph(3, 1.0)
     path = tmp_path / "spec.json"
-    spectrum_to_json(spec, path)
+    eigenvalues_to_json(fragility_metrics(g).eigenvalues, g.banks, path)
     doc = json.loads(path.read_text(encoding="utf-8"))
+    assert sorted(doc) == ["bank_order", "eigenvalues", "normalized"]
     assert doc["bank_order"] == ["N0", "N1", "N2"]
     assert doc["normalized"] is False
     assert doc["eigenvalues"] == pytest.approx([0.0, 3.0, 3.0])
-    assert "eigenvectors" not in doc
-
-    spectrum_to_json(spec, path, include_vectors=True)
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    assert len(doc["eigenvectors"]) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +416,11 @@ def test_spectrum_to_json(tmp_path):
     w=st.floats(min_value=1e-3, max_value=1e3),
 )
 def test_uniform_complete_spectrum_property(n, w):
-    spec = spectrum_of(complete_graph(n, w))
-    assert spec.lambda2() == pytest.approx(n * w, rel=1e-9)
-    assert np.allclose(spec.eigenvalues[1:], n * w, rtol=1e-9)
-    assert abs(spec.eigenvalues[0]) <= 1e-9 * n * w
+    g = complete_graph(n, w)
+    lam = eigenbasis(g.weights)[0]
+    assert lambda2(g.weights) == pytest.approx(n * w, rel=1e-9)
+    assert np.allclose(lam[1:], n * w, rtol=1e-9)
+    assert abs(lam[0]) <= 1e-9 * n * w
 
 
 @settings(max_examples=30, deadline=None)
@@ -464,6 +428,6 @@ def test_uniform_complete_spectrum_property(n, w):
 def test_lambda2_nonnegative_and_below_lambda_max(seed):
     rng = np.random.default_rng(seed)
     g = random_connected(rng, int(rng.integers(3, 9)))
-    spec = spectrum_of(g)
-    assert spec.eigenvalues[0] >= -1e-9 * max(spec.lambda_max, 1.0)
-    assert 0.0 < spec.lambda2() <= spec.lambda_max + 1e-12
+    lam = fragility_metrics(g).eigenvalues
+    assert lam[0] >= -1e-9 * max(lam[-1], 1.0)
+    assert 0.0 < lambda2(g.weights) <= lam[-1] + 1e-12
