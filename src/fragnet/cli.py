@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .diffusion import cascade_stress_test, cascade_to_json, load_scenario
+from .diffusion import cascade_stress_test, load_scenario
 from .errors import DomainError, InputError
 from .inference import (
     BootstrapResult,
@@ -192,11 +192,11 @@ def cmd_analyze(args) -> int:
                 _fmt(m.spectral_gap),
                 _cell(m.lambda3),
                 _fmt(m.spectral_radius),
-                _fmt(m.radius_ratio) if math.isfinite(m.radius_ratio) else "inf",
-                _fmt(m.effective_resistance) if math.isfinite(m.effective_resistance) else "inf",
+                _fmt(m.radius_ratio),
+                _fmt(m.effective_resistance),
                 _cell(m.normalized_lambda2),
-                _fmt(m.avg_resistance_distance) if math.isfinite(m.avg_resistance_distance) else "inf",
-                _fmt(tau) if math.isfinite(tau) else "inf",
+                _fmt(m.avg_resistance_distance),
+                _fmt(tau),
                 int(m.connected),
             ]
         )
@@ -342,29 +342,21 @@ def cmd_stress(args) -> int:
     forcing, capitals, horizon, dt = load_scenario(args.scenario, graph)
     result = cascade_stress_test(graph, capitals, forcing, horizon, dt)
     out = _out_dir(args)
-    cascade_to_json(result, out / "cascade.json")
-    _write_csv(
-        out / "cascade_summary.csv",
-        [
-            "total_failures", "rounds", "pre_lambda2", "post_lambda2",
-            "fragility_change", "stabilization_time",
-        ],
-        [
-            [
-                result.total_failures,
-                result.rounds,
-                _fmt(result.pre_lambda2),
-                _fmt(result.post_lambda2),
-                _fmt(result.fragility_change),
-                _fmt(result.stabilization_time),
-            ]
-        ],
-    )
-    traj_rows = []
-    for t, snapshot in result.history:
-        for bank in graph.banks:
-            if bank in snapshot:
-                traj_rows.append([_fmt(t), bank, _fmt(snapshot[bank])])
+    # one snapshot per window end: the live banks' distress in network order
+    snapshots = [
+        (t, {b: v for b, v in zip(graph.banks, row.tolist()) if not math.isnan(v)})
+        for t, row in zip(result.times.tolist(), result.distress)
+    ]
+    fields = [
+        "total_failures", "rounds", "pre_lambda2", "post_lambda2",
+        "fragility_change", "stabilization_time",
+    ]
+    doc = {key: getattr(result, key) for key in fields + ["losses"]}
+    doc["failed"] = [{"round": r, "bank": b} for r, b in result.failed]
+    doc["history"] = [{"time": t, "distress": snap} for t, snap in snapshots]
+    (out / "cascade.json").write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
+    _write_csv(out / "cascade_summary.csv", fields, [[_cell(getattr(result, key)) for key in fields]])
+    traj_rows = [[_fmt(t), bank, _fmt(v)] for t, snap in snapshots for bank, v in snap.items()]
     _write_csv(out / "trajectory.csv", ["time", "bank", "distress"], traj_rows)
     return 0
 

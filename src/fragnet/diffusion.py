@@ -11,13 +11,14 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DomainError, GreedyStalled, InputError
 from .network import WeightedGraph
+from .panel import open_input
 from .spectral import (
     DISCONNECT_TOL,
     _lambda2_of,
@@ -29,7 +30,7 @@ from .spectral import (
 )
 
 # cap on a cascade's ceil(horizon / dt) windows, each of which is solved
-# and recorded
+# and recorded; the record is allocated up front
 MAX_WINDOWS = 100_000
 
 
@@ -66,8 +67,10 @@ class CascadeResult:
     rounds: int
     stabilization_time: float
     losses: dict[str, float]
-    # (time, {bank: distress}) at every window end, live banks only
-    history: list[tuple[float, dict[str, float]]] = field(default_factory=list)
+    # window end times from 0, shape (windows + 1,), and distress per window
+    # and bank in network order, shape (windows + 1, n), NaN once failed
+    times: np.ndarray
+    distress: np.ndarray
 
 
 def _propagate(
@@ -87,6 +90,19 @@ def _propagate(
         gain = np.where(lam > tol, -np.expm1(-lam * dt) / np.where(lam > tol, lam, 1.0), dt)
         out = out + fhat * gain
     return v @ out
+
+
+def _advance(
+    lam: np.ndarray, v: np.ndarray, x: np.ndarray, f: np.ndarray, onset: float, t0: float, t1: float
+) -> np.ndarray:
+    """State at t1 from x at t0: homogeneous until the onset, forced by f
+    from the onset on."""
+    free_until = min(max(onset, t0), t1)
+    if free_until > t0:
+        x = _propagate(lam, v, x, None, free_until - t0)
+    if t1 > free_until:
+        x = _propagate(lam, v, x, f, t1 - free_until)
+    return x
 
 
 def evolve(graph: WeightedGraph, x0: DistressState, t: float) -> DistressState:
@@ -123,14 +139,7 @@ def evolve_forced(
     forcing.validate(graph.n)
     lam, vec = eigenbasis(graph.weights)
     f = np.asarray(forcing.vector, dtype=float)
-
-    free_until = min(max(forcing.onset, x0.time), t)
-    values = x
-    if free_until > x0.time:
-        values = _propagate(lam, vec, values, None, free_until - x0.time)
-    if t > free_until:
-        values = _propagate(lam, vec, values, f, t - free_until)
-    return DistressState(values, t)
+    return DistressState(_advance(lam, vec, x, f, forcing.onset, x0.time, t), t)
 
 
 def ate_trajectory(ate_infinity: float, lambda2: float, t_grid) -> list[float]:
@@ -167,7 +176,8 @@ def cascade_stress_test(
     The live subnetwork evolves in windows of length dt; at each window end
     every live bank whose distress has reached its capital fails, its
     remaining distress is logged as a loss and removed, and the operator is
-    rebuilt on the survivors. Failure checks happen only at window ends.
+    rebuilt on the survivors. Failure checks happen only at window ends, and
+    a window whose distress is no longer finite raises a DomainError.
     """
     graph.validate()
     if dt <= 0:
@@ -182,43 +192,41 @@ def cascade_stress_test(
         raise DomainError("all capitals must be positive")
     shock.validate(graph.n)
 
-    live = list(range(graph.n))
+    live = np.arange(graph.n)
     lam, vec = eigenbasis(graph.weights)
     pre_lambda2 = float(_lambda2_of(lam))
-    x = np.zeros(len(live))
+    x = np.zeros(graph.n)
     f_full = np.asarray(shock.vector, dtype=float)
 
     failed: list[tuple[int, str]] = []
     losses: dict[str, float] = {}
-    history: list[tuple[float, dict[str, float]]] = [(0.0, {graph.banks[i]: 0.0 for i in live})]
     rounds = 0
     last_failure_time = 0.0
 
     n_windows = math.ceil(horizon / dt - 1e-12)
-    t_prev = 0.0
+    if n_windows > MAX_WINDOWS:
+        raise DomainError(f"horizon {horizon} and dt {dt} make {n_windows} windows, more than {MAX_WINDOWS}")
+    times = np.zeros(n_windows + 1)
+    distress = np.full((n_windows + 1, graph.n), np.nan)
+    distress[0] = 0.0
     for k in range(1, n_windows + 1):
-        t_end = min(k * dt, horizon)
-        f = f_full[live]
-        free_until = min(max(shock.onset, t_prev), t_end)
-        if free_until > t_prev:
-            x = _propagate(lam, vec, x, None, free_until - t_prev)
-        if t_end > free_until:
-            x = _propagate(lam, vec, x, f, t_end - free_until)
-        t_prev = t_end
+        times[k] = min(k * dt, horizon)
+        x = _advance(lam, vec, x, f_full[live], shock.onset, times[k - 1], times[k])
+        if not np.isfinite(x).all():
+            raise DomainError(f"window {k}: distress is no longer finite (float overflow)")
+        distress[k, live] = x
 
-        hit = [i for i, g in enumerate(live) if x[i] >= cap[g]]
-        history.append((t_end, {graph.banks[g]: float(x[i]) for i, g in enumerate(live)}))
-        if hit:
+        hit = x >= cap[live]
+        if hit.any():
             rounds += 1
-            last_failure_time = t_end
-            for i in hit:
+            last_failure_time = float(times[k])
+            for i in np.flatnonzero(hit):
                 bank = graph.banks[live[i]]
                 failed.append((k, bank))
                 losses[bank] = float(x[i])
-            keep = [i for i in range(len(live)) if i not in set(hit)]
-            live = [live[i] for i in keep]
-            x = x[keep]
-            if not live:
+            live, x = live[~hit], x[~hit]
+            if not live.size:
+                times, distress = times[: k + 1], distress[: k + 1]
                 break
             lam, vec = eigenbasis(graph.weights[np.ix_(live, live)])
 
@@ -234,7 +242,8 @@ def cascade_stress_test(
         rounds=rounds,
         stabilization_time=last_failure_time,
         losses=losses,
-        history=history,
+        times=times,
+        distress=distress,
     )
 
 
@@ -414,10 +423,9 @@ def load_scenario(path: str | Path, graph: WeightedGraph) -> tuple[ForcingSpec, 
     horizon of more than MAX_WINDOWS windows of length dt.
     """
     path = Path(path)
-    if not path.exists():
-        raise InputError(f"input file not found: {path}")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        with open_input(path) as fh:
+            doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -452,19 +460,3 @@ def load_scenario(path: str | Path, graph: WeightedGraph) -> tuple[ForcingSpec, 
     vector = np.array([shock.get(b, 0.0) for b in graph.banks])
     return ForcingSpec(vector, onset=onset), capitals, horizon, dt
 
-
-def cascade_to_json(result: CascadeResult, path: str | Path) -> None:
-    doc = {
-        "failed": [{"round": r, "bank": b} for r, b in result.failed],
-        "total_failures": result.total_failures,
-        "pre_lambda2": result.pre_lambda2,
-        "post_lambda2": result.post_lambda2,
-        "fragility_change": result.fragility_change,
-        "rounds": result.rounds,
-        "stabilization_time": result.stabilization_time,
-        "losses": result.losses,
-        "history": [
-            {"time": t, "distress": values} for t, values in result.history
-        ],
-    }
-    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")

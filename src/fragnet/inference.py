@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, InputError
 from .network import WeightedGraph, allocate_arrays, year_arrays
-from .panel import ExposurePanel
+from .panel import ExposurePanel, open_input
 from .spectral import lambda2, lambda2_batch, stack_members
 
 
@@ -359,10 +359,8 @@ def load_series_csv(path: str | Path) -> dict[int, float]:
     disconnected year); errors name the file and the line.
     """
     path = Path(path)
-    if not path.exists():
-        raise InputError(f"input file not found: {path}")
     values: dict[int, float] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
+    with open_input(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["year", "lambda2"]:

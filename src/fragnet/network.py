@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, InputError
-from .panel import BankRecord, ExposurePanel, _fmt
+from .panel import BankRecord, ExposurePanel, _fmt, open_input
 
 METHODS = ("equal", "size_weighted", "exposure_weighted")
 
@@ -64,19 +64,11 @@ class WeightedGraph:
     def degrees(self) -> np.ndarray:
         return self.weights.sum(axis=1)
 
-    def total_weight(self) -> float:
-        return float(self.weights.sum() / 2.0)
-
     def index(self, bank: str) -> int:
         try:
             return self.banks.index(bank)
         except ValueError as exc:
             raise DomainError(f"unknown bank {bank!r}") from exc
-
-    def subgraph(self, keep: list[int]) -> "WeightedGraph":
-        keep = list(keep)
-        sub = self.weights[np.ix_(keep, keep)].copy()
-        return WeightedGraph([self.banks[i] for i in keep], sub, self.year)
 
     def validate(self) -> None:
         w = self.weights
@@ -349,14 +341,12 @@ def graph_from_edge_csv(path: str | Path) -> WeightedGraph:
     would be infinite.
     """
     path = Path(path)
-    if not path.exists():
-        raise InputError(f"input file not found: {path}")
     banks: list[str] = []
     seen: dict[str, int] = {}
     pair_line: dict[tuple[int, int], int] = {}
     rows: list[tuple[int, int, float]] = []
     year = year_line = None
-    with path.open(newline="", encoding="utf-8") as fh:
+    with open_input(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["year", "bank_i", "bank_j", "weight"]:

@@ -16,6 +16,7 @@ import csv
 import json
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -54,6 +55,26 @@ ISO_ALPHA2 = frozenset(
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+@contextmanager
+def open_input(path: Path):
+    """An input file opened as UTF-8 text. A missing file is an InputError,
+    and so is a byte that is not UTF-8, named with its file and line."""
+    if not path.exists():
+        raise InputError(f"input file not found: {path}")
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        # the stream decodes in chunks, so place the byte in the whole file
+        data = path.read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise InputError(f"{path}: line {line}: byte {data[exc.start]:#04x} is not UTF-8") from exc
+        raise
 
 
 @dataclass
@@ -127,13 +148,10 @@ def load_panel(path: str | Path) -> ExposurePanel:
         amounts, or a manifest mismatch. Messages carry line numbers.
     """
     path = Path(path)
-    if not path.exists():
-        raise InputError(f"input file not found: {path}")
-
     banks: dict[tuple[int, str], BankRecord] = {}
     seen_pairs: set[tuple[int, str, str]] = set()
 
-    with path.open(newline="", encoding="utf-8") as fh:
+    with open_input(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -209,15 +227,25 @@ def load_panel(path: str | Path) -> ExposurePanel:
 
 def _check_against_manifest(panel: ExposurePanel, mpath: Path) -> None:
     try:
-        manifest = json.loads(mpath.read_text(encoding="utf-8"))
+        with open_input(mpath) as fh:
+            manifest = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(f"{mpath}: invalid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise InputError(f"{mpath}: a manifest must be a JSON object, got {manifest!r}")
     years = manifest.get("years")
     counts = manifest.get("bank_counts", {})
-    if years is not None and list(years) != panel.years:
-        raise InputError(f"{mpath}: years {years} do not match data years {panel.years}")
+    if years is not None and (not isinstance(years, list) or years != panel.years):
+        raise InputError(f"{mpath}: field 'years' {years!r} does not match data years {panel.years}")
+    if not isinstance(counts, dict):
+        raise InputError(f"{mpath}: field 'bank_counts' must map years to bank counts, got {counts!r}")
     for year_s, expected in counts.items():
-        year = int(year_s)
+        try:
+            year = int(year_s)
+        except ValueError as exc:
+            raise InputError(f"{mpath}: field 'bank_counts': {year_s!r} is not a year") from exc
+        if isinstance(expected, bool) or not isinstance(expected, (int, float)):
+            raise InputError(f"{mpath}: field 'bank_counts': year {year} count {expected!r} is not a number")
         actual = len(panel.records.get(year, []))
         if actual != expected:
             raise InputError(
@@ -284,10 +312,9 @@ def load_calibration(path: str | Path) -> dict[int, dict]:
     """Read a synthesis spec (year -> n_banks, total_exposure, country_list)
     from JSON, rejecting a missing or ill-typed field with an InputError."""
     path = Path(path)
-    if not path.exists():
-        raise InputError(f"input file not found: {path}")
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        with open_input(path) as fh:
+            raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):

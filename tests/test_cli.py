@@ -10,6 +10,7 @@ import pytest
 
 from conftest import graph_of
 from fragnet.cli import main
+from fragnet.diffusion import ForcingSpec, cascade_stress_test
 from fragnet.network import graph_from_edge_csv, graph_to_edge_csv
 from fragnet.panel import load_panel
 
@@ -393,6 +394,101 @@ def test_stress_requires_scenario(tmp_path, capsys):
     rc = main(["stress", "--input", str(edges), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "scenario" in capsys.readouterr().err
+
+
+def test_stress_cascade_json_matches_library_result(tmp_path):
+    g = graph_of(np.ones((4, 4)) - np.eye(4), banks=["A", "B", "C", "D"])
+    edges = tmp_path / "edges.csv"
+    graph_to_edge_csv(g, edges)
+    caps = {"A": 1.0, "B": 10.0, "C": 10.0, "D": 10.0}
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(
+        json.dumps({"shock": {"A": 12.0}, "horizon": 2.0, "dt": 0.2, "capitals": caps}),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["stress", "--input", str(edges), "--scenario", str(scenario), "--out", str(out)]) == 0
+    res = cascade_stress_test(g, caps, ForcingSpec(np.array([12.0, 0, 0, 0])), 2.0, 0.2)
+
+    doc = json.loads((out / "cascade.json").read_text(encoding="utf-8"))
+    assert doc["failed"] == [{"round": 1, "bank": "A"}]
+    assert doc["rounds"] == 1
+    assert doc["losses"] == res.losses
+    # one snapshot per window end: the live banks of that row of the record
+    assert len(doc["history"]) == len(res.times) == 11
+    for snap, t, row in zip(doc["history"], res.times, res.distress):
+        assert snap["time"] == t
+        assert snap["distress"] == {b: v for b, v in zip(g.banks, row) if not np.isnan(v)}
+    assert list(doc["history"][2]["distress"]) == ["B", "C", "D"]
+    trajectory = [
+        (float(r["time"]), r["bank"], float(r["distress"])) for r in read_csv(out / "trajectory.csv")
+    ]
+    assert trajectory == [
+        (snap["time"], b, v) for snap in doc["history"] for b, v in snap["distress"].items()
+    ]
+
+
+def test_stress_rejects_distress_beyond_the_float_range(tmp_path, capsys):
+    # each shock is finite, but three of them together overflow the float range
+    banks = ["A", "B", "C", "D", "E", "F"]
+    rows = ["2014,A,B,1", "2014,B,C,2", "2014,C,D,1", "2014,D,E,3", "2014,E,F,1", "2014,F,A,2"]
+    edges = tmp_path / "edges.csv"
+    edges.write_text("year,bank_i,bank_j,weight\n" + "".join(r + "\n" for r in rows), encoding="utf-8")
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(
+        json.dumps({"shock": {b: 1.7e308 for b in banks[:3]}, "horizon": 1.0, "dt": 0.1,
+                    "capitals": {b: 1.0 for b in banks}}),
+        encoding="utf-8",
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["stress", "--input", str(edges), "--scenario", str(scenario), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "window 1: distress is no longer finite" in capsys.readouterr().err
+
+
+def non_utf8_case(tmp_path, loader):
+    """argv of a command and the input it reads through the given loader,
+    whose last occurrence of a marker is replaced to hold byte 0xff."""
+    calib = write_calibration(tmp_path / "calib.json")
+    panel = tmp_path / "panel.csv"
+    assert main(["synth", "--calib", str(calib), "--out", str(panel)]) == 0
+    series = write_series(tmp_path / "series.csv")
+    edges = tmp_path / "edges.csv"
+    edges.write_text("year,bank_i,bank_j,weight\n2014,A,B,1.0\n2014,B,C,2.0\n", encoding="utf-8")
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(
+        json.dumps({"shock": {"A": 1.0}, "horizon": 2.0, "dt": 0.2,
+                    "capitals": {"A": 1.0, "B": 1.0, "C": 1.0}}, indent=1),
+        encoding="utf-8",
+    )
+    stress = ["stress", "--input", str(edges), "--scenario", str(scenario)]
+    argv, bad, marker = {
+        "series": (["analyze", "--series", str(series)], series, b"2016,"),
+        "calibration": (["synth", "--calib", str(calib)], calib, b'"IT"'),
+        # the panel's last bank name lies past the first 8 KiB, which a text
+        # stream decodes at once
+        "panel": (["build", "--input", str(panel)], panel, b"Bank 007"),
+        "manifest": (["build", "--input", str(panel)], tmp_path / "panel.manifest.json", b'"2016"'),
+        "edges": (stress, edges, b"B,C"),
+        "scenario": (stress, scenario, b'"C"'),
+    }[loader]
+    data = bad.read_bytes()
+    at = data.rindex(marker) + 2
+    bad.write_bytes(data[:at] + b"\xff" + data[at:])
+    return argv, bad
+
+
+@pytest.mark.parametrize("loader", ["series", "calibration", "panel", "manifest", "edges", "scenario"])
+def test_non_utf8_input_names_file_and_line(tmp_path, capsys, loader):
+    argv, bad = non_utf8_case(tmp_path, loader)
+    data = bad.read_bytes()
+    line = data.count(b"\n", 0, data.index(b"\xff")) + 1
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: line {line}: byte 0xff is not UTF-8" in err, err
+    # every multi-line input has the byte past its first line
+    assert line > 1 or loader == "calibration"
+    assert data.index(b"\xff") > 8192 or loader != "panel"
 
 
 def test_module_entry_point_smoke(tmp_path):

@@ -17,7 +17,6 @@ from fragnet.diffusion import (
     amplification_bound,
     ate_trajectory,
     cascade_stress_test,
-    cascade_to_json,
     evolve,
     evolve_forced,
     greedy_deleverage,
@@ -236,10 +235,17 @@ def test_cascade_single_failure_timeline():
     assert res.post_lambda2 == pytest.approx(3.0)
     assert res.fragility_change == pytest.approx(-1.0)
     assert res.losses["A"] == pytest.approx(1.8390098307362517, rel=1e-12)
-    # 10 windows plus the initial snapshot; survivors tracked after failure
-    assert len(res.history) == 11
-    assert res.history[1][0] == pytest.approx(0.2)
-    assert set(res.history[2][1]) == {"B", "C", "D"}
+    # 10 windows plus the initial state; A is NaN after the window it
+    # failed in, and the survivors are tracked to the horizon
+    assert res.times.shape == (11,)
+    assert res.distress.shape == (11, 4)
+    assert res.times[0] == 0.0
+    assert res.times[1] == pytest.approx(0.2)
+    assert res.times[-1] == pytest.approx(2.0)
+    assert res.distress[1, 0] == res.losses["A"]
+    assert np.isnan(res.distress[2:, 0]).all()
+    assert np.isfinite(res.distress[:2, 0]).all()
+    assert np.isfinite(res.distress[:, 1:]).all()
 
 
 def test_cascade_single_failure_matches_euler_oracle():
@@ -267,7 +273,13 @@ def test_cascade_two_rounds_with_delayed_onset():
     assert res.losses["A"] == pytest.approx(2.281425131864125, rel=1e-9)
     assert res.losses["B"] == pytest.approx(1.6459640043079964, rel=1e-9)
     # shock starts inside window 2, so window 1 ends with zero distress
-    assert all(abs(v) < 1e-12 for v in res.history[1][1].values())
+    assert np.all(np.abs(res.distress[1]) < 1e-12)
+    # A is recorded up to window 3 and B up to window 6, NaN after
+    assert res.distress.shape == (11, 4)
+    assert np.isfinite(res.distress[:4, 0]).all() and np.isnan(res.distress[4:, 0]).all()
+    assert np.isfinite(res.distress[:7, 1]).all() and np.isnan(res.distress[7:, 1]).all()
+    assert np.isfinite(res.distress[:, 2:]).all()
+    assert [res.distress[3, 0], res.distress[6, 1]] == [res.losses["A"], res.losses["B"]]
 
 
 def test_cascade_two_rounds_matches_euler_oracle():
@@ -311,7 +323,31 @@ def test_cascade_deterministic():
     b = cascade_stress_test(g, caps, shock, 2.0, 0.2)
     assert a.failed == b.failed
     assert a.losses == b.losses
-    assert a.history == b.history
+    assert np.array_equal(a.times, b.times)
+    assert np.array_equal(a.distress, b.distress, equal_nan=True)
+
+
+def test_cascade_record_ends_when_every_bank_has_failed():
+    g = abcd_graph()
+    caps = {"A": 1.0, "B": 2.0, "C": 2.0, "D": 2.0}
+    res = cascade_stress_test(g, caps, ForcingSpec(np.array([12.0, 3.0, 3.0, 3.0])), 2.0, 0.2)
+    assert res.failed == [(1, "A"), (4, "B"), (4, "C"), (4, "D")]
+    assert res.rounds == 2
+    assert res.post_lambda2 == 0.0
+    # the loop stops at window 4: the record has no rows past it
+    assert res.times.shape == (5,)
+    assert res.distress.shape == (5, 4)
+    assert res.times[-1] == res.stabilization_time == pytest.approx(0.8)
+    assert np.isfinite(res.distress[4, 1:]).all() and np.isnan(res.distress[2:, 0]).all()
+
+
+def test_cascade_rejects_distress_beyond_the_float_range():
+    g = abcd_graph()
+    caps = {b: 1.0 for b in g.banks}
+    shock = ForcingSpec(np.array([1.7e308, 1.7e308, 1.7e308, 0.0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DomainError, match="window 1: distress is no longer finite"):
+            cascade_stress_test(g, caps, shock, 1.0, 0.1)
 
 
 def test_cascade_input_errors():
@@ -328,6 +364,10 @@ def test_cascade_input_errors():
         cascade_stress_test(g, {**caps, "B": 0.0}, shock, 2.0, 0.2)
     with pytest.raises(DomainError):
         cascade_stress_test(g, caps, ForcingSpec(np.zeros(3)), 2.0, 0.2)
+    # the per-window record is allocated up front, so the window cap holds
+    # here as well as in load_scenario
+    with pytest.raises(DomainError, match="more than"):
+        cascade_stress_test(g, caps, shock, 2.0, 2.0 / (MAX_WINDOWS + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -610,15 +650,3 @@ def test_load_scenario_rejects_bad_values(tmp_path, field, value):
         load_scenario(path, abcd_graph())
     assert "scenario.json" in str(exc.value)
 
-
-def test_cascade_to_json(tmp_path):
-    g = abcd_graph()
-    caps = {"A": 1.0, "B": 10.0, "C": 10.0, "D": 10.0}
-    res = cascade_stress_test(g, caps, ForcingSpec(np.array([12.0, 0, 0, 0])), 2.0, 0.2)
-    path = tmp_path / "out.json"
-    cascade_to_json(res, path)
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    assert doc["failed"] == [{"round": 1, "bank": "A"}]
-    assert doc["rounds"] == 1
-    assert doc["losses"]["A"] == pytest.approx(res.losses["A"])
-    assert len(doc["history"]) == len(res.history)

@@ -369,13 +369,6 @@ def test_graph_index_unknown_bank():
         g.index("missing")
 
 
-def test_subgraph_picks_rows_and_columns():
-    g = graph_of([[0, 1, 2], [1, 0, 3], [2, 3, 0]], banks=["A", "B", "C"])
-    sub = g.subgraph([0, 2])
-    assert sub.banks == ["A", "C"]
-    assert sub.weights.tolist() == [[0.0, 2.0], [2.0, 0.0]]
-
-
 # ---------------------------------------------------------------------------
 # properties
 

@@ -183,6 +183,26 @@ def test_manifest_mismatch_detected(tmp_path):
         load_panel(path)
 
 
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ("[1, 2]", "a manifest must be a JSON object"),
+        ('{"years": 5}', "field 'years'"),
+        ('{"years": "2014"}', "field 'years'"),
+        ('{"bank_counts": [61]}', "field 'bank_counts'"),
+        ('{"bank_counts": {"x2014": 61}}', "field 'bank_counts': 'x2014'"),
+        ('{"bank_counts": {"2014": "2"}}', "field 'bank_counts': year 2014 count '2'"),
+    ],
+)
+def test_malformed_manifest_names_file_and_field(tmp_path, text, field):
+    path = tmp_path / "p.csv"
+    write_panel(tiny_panel(), path)
+    path.with_suffix(".manifest.json").write_text(text, encoding="utf-8")
+    with pytest.raises(InputError, match=field) as exc:
+        load_panel(path)
+    assert "p.manifest.json" in str(exc.value)
+
+
 # ---------------------------------------------------------------------------
 # synthesis
 

@@ -326,7 +326,7 @@ def test_centrality_needs_three_banks():
 def test_complete_graph_closed_form():
     assert complete_graph_lambda2(2, 3.0) == pytest.approx(6.0)
     g = complete_graph(5, 2.0)
-    total = g.total_weight()
+    total = float(g.weights.sum() / 2.0)
     assert lambda2(g.weights) == pytest.approx(complete_graph_lambda2(5, total), rel=1e-12)
 
 
