@@ -9,8 +9,6 @@ Exit codes: 0 success, 1 computation-domain error, 2 I/O or config error.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import sys
 from pathlib import Path
@@ -38,9 +36,17 @@ from .network import (
     symmetrize,
     validate_conservation,
 )
-from .panel import load_calibration, load_panel, synthesize_panel, write_panel, _fmt
+from .panel import (
+    _cell,
+    _fmt,
+    load_calibration,
+    load_panel,
+    synthesize_panel,
+    write_csv,
+    write_json,
+    write_panel,
+)
 from .spectral import (
-    eigenvalues_to_json,
     fragility_metrics,
     lambda2,
     mixing_time,
@@ -82,23 +88,6 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        if math.isnan(value):
-            return ""
-        return _fmt(value)
-    return str(value)
-
-
 def cmd_build(args) -> int:
     panel = load_panel(args.input)
     out = _out_dir(args)
@@ -128,7 +117,7 @@ def cmd_build(args) -> int:
                 _fmt(s.sd_degree),
             ]
         )
-    _write_csv(
+    write_csv(
         out / "network_stats.csv",
         [
             "year", "n_nodes", "n_edges", "density", "total_weight",
@@ -154,22 +143,16 @@ def cmd_analyze(args) -> int:
 
     if args.series:
         values = load_series_csv(args.series)
-        rows = []
-        for year in sorted(values):
-            lam2 = values[year]
-            rows.append(
-                [
-                    year,
-                    _fmt(lam2),
-                    _fmt(1000.0 / lam2) if lam2 > 0 else "inf",
-                    _fmt(mixing_time(lam2, args.epsilon)) if lam2 > 0 else "inf",
-                ]
-            )
-        _write_csv(
-            out / "fragility.csv",
-            ["year", "lambda2", "inv_lambda2_x1e3", "mixing_time"],
-            rows,
-        )
+        rows = [
+            [
+                year,
+                _fmt(lam2),
+                _fmt(1000.0 / lam2 if lam2 > 0 else math.inf),
+                _fmt(mixing_time(lam2, args.epsilon) if lam2 > 0 else math.inf),
+            ]
+            for year, lam2 in sorted(values.items())
+        ]
+        write_csv(out / "fragility.csv", ["year", "lambda2", "inv_lambda2_x1e3", "mixing_time"], rows)
         return 0
 
     if not args.input:
@@ -188,7 +171,7 @@ def cmd_analyze(args) -> int:
                 year,
                 graph.n,
                 _fmt(m.lambda2),
-                _fmt(1000.0 / m.lambda2) if m.lambda2 > 0 else "inf",
+                _fmt(1000.0 / m.lambda2 if m.lambda2 > 0 else math.inf),
                 _fmt(m.spectral_gap),
                 _cell(m.lambda3),
                 _fmt(m.spectral_radius),
@@ -209,11 +192,10 @@ def cmd_analyze(args) -> int:
             for bank, sc in spectral_centralities(graph).items():
                 centrality_rows.append([year, bank, _fmt(sc)])
         if args.spectra:
-            eigenvalues_to_json(m.eigenvalues, graph.banks, out / f"spectrum_{year}.json")
-    _write_csv(out / "fragility.csv", FRAGILITY_HEADER, frag_rows)
-    _write_csv(
-        out / "centrality.csv", ["year", "bank", "spectral_centrality"], centrality_rows
-    )
+            spectrum = {"eigenvalues": m.eigenvalues.tolist(), "bank_order": graph.banks, "normalized": False}
+            write_json(out / f"spectrum_{year}.json", spectrum)
+    write_csv(out / "fragility.csv", FRAGILITY_HEADER, frag_rows)
+    write_csv(out / "centrality.csv", ["year", "bank", "spectral_centrality"], centrality_rows)
     return 0
 
 
@@ -245,18 +227,20 @@ def _did_table(
                 str(year),
                 _fmt(values[year]),
                 _fmt(row.beta),
-                _fmt(row.pct_change),
+                _cell(row.pct_change),
                 ci_lo,
                 ci_hi,
                 p,
             ]
         )
-    _write_csv(path, DID_HEADER, rows)
+    write_csv(path, DID_HEADER, rows)
 
 
 def cmd_did(args) -> int:
     pre = _parse_years(args.pre, "--pre")
     post = _parse_years(args.post, "--post")
+    if args.bootstrap_b and not args.input:
+        raise InputError("bootstrap needs --input with a bank panel")
     out = _out_dir(args)
 
     panel = None
@@ -283,10 +267,6 @@ def cmd_did(args) -> int:
 
     boot = None
     if args.bootstrap_b:
-        if panel is None:
-            if not args.input:
-                raise InputError("bootstrap needs --input with a bank panel")
-            panel = load_panel(args.input)
         boot = bootstrap_did(
             panel,
             B=args.bootstrap_b,
@@ -302,7 +282,7 @@ def cmd_did(args) -> int:
             boot_rows.append(
                 [
                     str(year),
-                    _fmt(level.effects[year].beta) if year in level.effects else "",
+                    _fmt(level.effects[year].beta),
                     _fmt(lo),
                     _fmt(hi),
                     _p_cell(boot.p_values[year], boot.B),
@@ -310,7 +290,7 @@ def cmd_did(args) -> int:
                     boot.master_seed,
                 ]
             )
-        _write_csv(
+        write_csv(
             out / "bootstrap.csv",
             ["period", "effect", "ci_lower", "ci_upper", "p_value", "B", "seed"],
             boot_rows,
@@ -329,9 +309,7 @@ def cmd_did(args) -> int:
         _did_table(out / f"placebo_{false_year}.csv", placebo, placebo_values, None)
         doc.setdefault("placebo", {})[str(false_year)] = did_to_dict(placebo)
 
-    (out / "did.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(out / "did.json", doc, indent=2)
     return 0
 
 
@@ -343,8 +321,8 @@ def cmd_stress(args) -> int:
     result = cascade_stress_test(graph, capitals, forcing, horizon, dt)
     out = _out_dir(args)
     # one snapshot per window end: the live banks' distress in network order
-    snapshots = [
-        (t, {b: v for b, v in zip(graph.banks, row.tolist()) if not math.isnan(v)})
+    history = [
+        {"time": t, "distress": {b: v for b, v in zip(graph.banks, row.tolist()) if not math.isnan(v)}}
         for t, row in zip(result.times.tolist(), result.distress)
     ]
     fields = [
@@ -353,11 +331,16 @@ def cmd_stress(args) -> int:
     ]
     doc = {key: getattr(result, key) for key in fields + ["losses"]}
     doc["failed"] = [{"round": r, "bank": b} for r, b in result.failed]
-    doc["history"] = [{"time": t, "distress": snap} for t, snap in snapshots]
-    (out / "cascade.json").write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
-    _write_csv(out / "cascade_summary.csv", fields, [[_cell(getattr(result, key)) for key in fields]])
-    traj_rows = [[_fmt(t), bank, _fmt(v)] for t, snap in snapshots for bank, v in snap.items()]
-    _write_csv(out / "trajectory.csv", ["time", "bank", "distress"], traj_rows)
+    doc["history"] = history
+    write_json(out / "cascade.json", doc)
+    write_csv(out / "cascade_summary.csv", fields, [[_cell(getattr(result, key)) for key in fields]])
+
+    def trajectory():
+        for snap in history:
+            t = _fmt(snap["time"])
+            yield from ([t, bank, _fmt(v)] for bank, v in snap["distress"].items())
+
+    write_csv(out / "trajectory.csv", ["time", "bank", "distress"], trajectory())
     return 0
 
 
@@ -382,10 +365,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(
-        p: argparse.ArgumentParser, input_help: str = "bank panel CSV", required: bool = False
-    ) -> None:
-        p.add_argument("--input", required=required, help=input_help)
+    def add_io(p: argparse.ArgumentParser, input_help: str = "bank panel CSV") -> None:
+        p.add_argument("--input", required=True, help=input_help)
+        p.add_argument("--out", required=True, help="output directory")
+
+    def add_panel_or_series(p: argparse.ArgumentParser) -> None:
+        # a series stands in for the panel's networks, so the two never mix
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--input", help="bank panel CSV")
+        source.add_argument("--series", help="CSV of year,lambda2 overriding network construction")
         p.add_argument("--out", required=True, help="output directory")
 
     def add_method(p: argparse.ArgumentParser) -> None:
@@ -399,16 +387,13 @@ def build_parser() -> argparse.ArgumentParser:
     def add_seed(p: argparse.ArgumentParser) -> None:
         p.add_argument("--seed", type=int, default=42, help="random seed (default: 42)")
 
-    def add_series(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--series", help="CSV of year,lambda2 overriding network construction")
-
     p_build = sub.add_parser("build", help="reconstruct per-year networks from a panel")
-    add_io(p_build, required=True)
+    add_io(p_build)
     add_method(p_build)
     p_build.set_defaults(func=cmd_build)
 
     p_analyze = sub.add_parser("analyze", help="fragility metrics and centrality tables")
-    add_io(p_analyze)
+    add_panel_or_series(p_analyze)
     add_method(p_analyze)
     p_analyze.add_argument(
         "--epsilon",
@@ -416,20 +401,18 @@ def build_parser() -> argparse.ArgumentParser:
         default=math.exp(-1.0),
         help="mixing-time threshold (default: 1/e)",
     )
-    add_series(p_analyze)
     p_analyze.add_argument(
         "--spectra", action="store_true", help="also export per-year eigenvalue JSON"
     )
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_did = sub.add_parser("did", help="treatment-effect estimates on the lambda2 series")
-    add_io(p_did)
+    add_panel_or_series(p_did)
     add_method(p_did)
     add_seed(p_did)
     p_did.add_argument(
         "--bootstrap-b", type=int, default=0, help="bootstrap replications (0 disables)"
     )
-    add_series(p_did)
     p_did.add_argument("--pre", default=DEFAULT_PRE, help="comma-separated pre years")
     p_did.add_argument("--post", default=DEFAULT_POST, help="comma-separated post years")
     p_did.add_argument(
@@ -441,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_did.set_defaults(func=cmd_did)
 
     p_stress = sub.add_parser("stress", help="cascade stress test on a built network")
-    add_io(p_stress, input_help="edge-list CSV written by build", required=True)
+    add_io(p_stress, input_help="edge-list CSV written by build")
     p_stress.add_argument("--scenario", help="scenario JSON path")
     p_stress.set_defaults(func=cmd_stress)
 

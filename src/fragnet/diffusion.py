@@ -211,7 +211,8 @@ def cascade_stress_test(
     distress[0] = 0.0
     for k in range(1, n_windows + 1):
         times[k] = min(k * dt, horizon)
-        x = _advance(lam, vec, x, f_full[live], shock.onset, times[k - 1], times[k])
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = _advance(lam, vec, x, f_full[live], shock.onset, times[k - 1], times[k])
         if not np.isfinite(x).all():
             raise DomainError(f"window {k}: distress is no longer finite (float overflow)")
         distress[k, live] = x

@@ -61,7 +61,8 @@ def make_series(values: dict[int, float], pre_years, post_years) -> FragilitySer
 @dataclass
 class EffectRow:
     beta: float
-    pct_change: float
+    # None where the baseline is 0 and a percent change is undefined
+    pct_change: float | None
 
 
 @dataclass
@@ -86,20 +87,36 @@ class BootstrapResult:
     p_values: dict[int, float]
 
 
+def _pre_mean(series: FragilitySeries) -> float:
+    with np.errstate(over="ignore"):
+        return float(np.mean([series.value(y) for y in series.pre_years]))
+
+
+def _finite(est: DidEstimate) -> DidEstimate:
+    """The estimate, or a DomainError naming its estimator when a number in
+    it has left the float range."""
+    numbers = [est.baseline_alpha, *(est.trend or {}).values(), *(est.counterfactuals or {}).values()]
+    numbers += [v for row in est.effects.values() for v in (row.beta, row.pct_change) if v is not None]
+    if not all(math.isfinite(v) for v in numbers):
+        raise DomainError(f"{est.variant} estimator: a result is beyond the float range")
+    return est
+
+
 def did_level(series: FragilitySeries) -> DidEstimate:
     """Effects relative to the pre-period mean.
 
     beta(y) = lambda2(y) - alpha with alpha the average pre value; percent
-    changes are relative to alpha.
+    changes are relative to alpha, and undefined (None) when alpha is 0.
+    An estimate beyond the float range is a DomainError.
     """
     series.validate()
-    alpha = float(np.mean([series.value(y) for y in series.pre_years]))
+    alpha = _pre_mean(series)
     effects = {}
     for y in series.post_years:
         beta = series.value(y) - alpha
-        pct = 100.0 * beta / alpha if alpha != 0 else math.nan
+        pct = 100.0 * beta / alpha if alpha != 0 else None
         effects[y] = EffectRow(beta, pct)
-    return DidEstimate("level", alpha, effects)
+    return _finite(DidEstimate("level", alpha, effects))
 
 
 def ols_trend(points: list[tuple[float, float]]) -> dict[str, float]:
@@ -114,11 +131,13 @@ def ols_trend(points: list[tuple[float, float]]) -> dict[str, float]:
     sxx = float(np.sum((x - x.mean()) ** 2))
     if sxx == 0:
         raise DomainError("trend fit needs at least 2 distinct years")
-    gamma1 = float(np.sum((x - x.mean()) * (y - y.mean())) / sxx)
-    gamma0 = float(y.mean() - gamma1 * x.mean())
-    residuals = y - (gamma0 + gamma1 * x)
-    sst = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(residuals**2)) / sst if sst > 0 else 0.0
+    # values near the float range overflow here; callers check the result
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma1 = float(np.sum((x - x.mean()) * (y - y.mean())) / sxx)
+        gamma0 = float(y.mean() - gamma1 * x.mean())
+        residuals = y - (gamma0 + gamma1 * x)
+        sst = float(np.sum((y - y.mean()) ** 2))
+        r2 = 1.0 - float(np.sum(residuals**2)) / sst if sst > 0 else 0.0
     return {"gamma0": gamma0, "gamma1": gamma1, "r_squared": r2}
 
 
@@ -127,23 +146,24 @@ def did_detrended(series: FragilitySeries) -> DidEstimate:
 
     The counterfactual for a post year is the trend's extrapolation; the
     effect is the observed value minus it, and percent changes are relative
-    to the counterfactual.
+    to the counterfactual, undefined (None) where it is 0. An estimate
+    beyond the float range is a DomainError.
     """
     series.validate()
     if len(series.pre_years) < 2:
         raise DomainError("detrended estimation needs at least 2 pre-years")
     pre_points = [(float(y), series.value(y)) for y in series.pre_years]
     trend = ols_trend(pre_points)
-    alpha = float(np.mean([series.value(y) for y in series.pre_years]))
+    alpha = _pre_mean(series)
     effects = {}
     counterfactuals = {}
     for y in series.post_years:
         cf = trend["gamma0"] + trend["gamma1"] * y
         beta = series.value(y) - cf
-        pct = 100.0 * beta / cf if cf != 0 else math.nan
+        pct = 100.0 * beta / cf if cf != 0 else None
         effects[y] = EffectRow(beta, pct)
         counterfactuals[y] = cf
-    return DidEstimate("detrended", alpha, effects, trend=trend, counterfactuals=counterfactuals)
+    return _finite(DidEstimate("detrended", alpha, effects, trend=trend, counterfactuals=counterfactuals))
 
 
 def placebo_test(series: FragilitySeries, false_treatment_year: int) -> DidEstimate:

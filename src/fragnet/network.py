@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, InputError
-from .panel import BankRecord, ExposurePanel, _fmt, open_input
+from .panel import BankRecord, ExposurePanel, _fmt, open_input, write_csv
 
 METHODS = ("equal", "size_weighted", "exposure_weighted")
 
@@ -320,16 +320,13 @@ def network_stats(graph: WeightedGraph) -> NetworkStats:
 
 def graph_to_edge_csv(graph: WeightedGraph, path: str | Path) -> None:
     """Write the strictly positive upper-triangle edges, one row per pair."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["year", "bank_i", "bank_j", "weight"])
-        n = graph.n
-        for i in range(n):
-            for j in range(i + 1, n):
-                w = graph.weights[i, j]
-                if w > 0:
-                    writer.writerow([graph.year, graph.banks[i], graph.banks[j], _fmt(w)])
+    rows, cols = np.triu_indices(graph.n, k=1)
+    w = graph.weights[rows, cols]
+    keep = w > 0
+    banks, year = graph.banks, graph.year
+    edges = zip(rows[keep].tolist(), cols[keep].tolist(), w[keep].tolist())
+    write_csv(Path(path), ["year", "bank_i", "bank_j", "weight"],
+              ([year, banks[i], banks[j], _fmt(x)] for i, j, x in edges))
 
 
 def graph_from_edge_csv(path: str | Path) -> WeightedGraph:

@@ -57,6 +57,37 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _cell(value) -> str:
+    """A table cell: empty for a missing value (None or NaN), 17 significant
+    digits for any other float."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        if math.isnan(value):
+            return ""
+        return _fmt(value)
+    return str(value)
+
+
+def write_csv(path: Path, header: list[str], rows) -> None:
+    """Write a UTF-8 CSV table with LF line endings: the header, then the
+    rows of any iterable as they come. Cells are written as given, so
+    callers format floats with `_fmt` or `_cell`."""
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path: Path, doc, indent: int | None = None) -> None:
+    """Write a UTF-8 JSON document with sorted keys, LF line endings and a
+    final newline. NaN and infinities raise ValueError: RFC 8259 JSON has no
+    value for them."""
+    text = json.dumps(doc, indent=indent, sort_keys=True, allow_nan=False)
+    with path.open("w", newline="\n", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+
+
 @contextmanager
 def open_input(path: Path):
     """An input file opened as UTF-8 text. A missing file is an InputError,
@@ -260,30 +291,19 @@ def write_panel(panel: ExposurePanel, path: str | Path) -> None:
     reproduces p exactly.
     """
     path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for year in panel.years:
-            for rec in sorted(panel.records[year], key=lambda r: r.lei):
-                for exp_country in sorted(rec.exposures):
-                    writer.writerow(
-                        [
-                            year,
-                            rec.lei,
-                            rec.name,
-                            rec.country,
-                            _fmt(rec.total_assets),
-                            _fmt(rec.capital),
-                            exp_country,
-                            _fmt(rec.exposures[exp_country]),
-                        ]
-                    )
+    rows = (
+        [year, rec.lei, rec.name, rec.country, _fmt(rec.total_assets), _fmt(rec.capital),
+         exp_country, _fmt(rec.exposures[exp_country])]
+        for year in panel.years
+        for rec in sorted(panel.records[year], key=lambda r: r.lei)
+        for exp_country in sorted(rec.exposures)
+    )
+    write_csv(path, CSV_HEADER, rows)
     doc = {
         "years": panel.years,
         "bank_counts": {str(y): len(panel.records[y]) for y in panel.years},
     }
-    mpath = path.with_suffix(".manifest.json")
-    mpath.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(path.with_suffix(".manifest.json"), doc, indent=2)
 
 
 def _calibration_field(path: Path, year: int, cfg: dict, key: str):

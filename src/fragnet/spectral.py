@@ -14,10 +14,8 @@ floating-point zero eigenvalues are never exact.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -295,13 +293,3 @@ def quadratic_form(graph: WeightedGraph, x: np.ndarray) -> float:
         raise DomainError(f"vector length {x.shape} does not match {graph.n} banks")
     diff = x[:, None] - x[None, :]
     return float(0.5 * np.sum(graph.weights * diff * diff))
-
-
-def eigenvalues_to_json(eigenvalues: np.ndarray, banks: list[str], path: str | Path) -> None:
-    """Export the ascending eigenvalues of a standard Laplacian."""
-    doc = {
-        "eigenvalues": [float(v) for v in eigenvalues],
-        "bank_order": list(banks),
-        "normalized": False,
-    }
-    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,15 @@ def lei(tag: str) -> str:
 
 def bank(tag, country, assets=100.0, capital=10.0, exposures=None):
     return BankRecord(lei(tag), f"Bank {tag}", country, assets, capital, exposures or {})
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+def strict_json(path):
+    """The JSON document in a file, parsed with NaN and Infinity refused."""
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=_refuse_constant)
 
 
 def graph_of(weights, banks=None, year=2014) -> WeightedGraph:

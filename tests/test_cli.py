@@ -3,15 +3,16 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import graph_of
+from conftest import graph_of, strict_json
 from fragnet.cli import main
 from fragnet.diffusion import ForcingSpec, cascade_stress_test
-from fragnet.network import graph_from_edge_csv, graph_to_edge_csv
+from fragnet.network import build_graph, graph_from_edge_csv, graph_to_edge_csv
 from fragnet.panel import load_panel
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -200,6 +201,56 @@ def test_analyze_needs_input_or_series(tmp_path, capsys):
     assert "--input or --series" in capsys.readouterr().err
 
 
+def test_series_and_input_are_mutually_exclusive(tmp_path, capsys):
+    series = write_series(tmp_path / "series.csv")
+    panel = tmp_path / "panel.csv"
+    assert main(["synth", "--calib", str(write_calibration(tmp_path / "calib.json")), "--out", str(panel)]) == 0
+    for argv in (["did", "--bootstrap-b", "100"], ["did"], ["analyze"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--series", str(series), "--input", str(panel), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert "--series" in err and "--input" in err, argv
+    assert not (tmp_path / "o").exists()
+
+
+def test_did_zero_baseline_leaves_pct_change_undefined(tmp_path):
+    series = tmp_path / "series.csv"
+    series.write_text("year,lambda2\n2014,0\n2016,0\n2018,0\n2021,5\n2023,7\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["did", "--series", str(series), "--out", str(out), "--placebo", "2016"]) == 0
+    for name in ("did_level.csv", "did_detrended.csv", "placebo_2016.csv"):
+        rows = read_csv(out / name)[1:]
+        assert rows and all(r["pct_change"] == "" for r in rows), name
+    doc = strict_json(out / "did.json")
+    assert doc["level"]["effects"]["2021"] == {"beta": 5.0, "pct_change": None}
+    assert doc["detrended"]["effects"]["2023"] == {"beta": 7.0, "pct_change": None}
+    assert doc["placebo"]["2016"]["effects"]["2018"] == {"beta": 0.0, "pct_change": None}
+
+
+@pytest.mark.parametrize(
+    "values, estimator",
+    [
+        # the pre-period trend extrapolates beyond the float range
+        ({2014: "1e306"}, "detrended"),
+        # 100 * beta overflows before the division by the baseline
+        ({2014: "1e308"}, "level"),
+        # the baseline mean overflows
+        ({2014: "1.7e308", 2016: "1.7e308", 2018: "1.7e308"}, "level"),
+    ],
+)
+def test_did_estimates_beyond_the_float_range_are_domain_errors(tmp_path, capsys, values, estimator):
+    series = tmp_path / "series.csv"
+    rows = [f"{y},{values.get(y, '0')}" for y in (2014, 2016, 2018, 2021, 2023)]
+    series.write_text("year,lambda2\n" + "".join(r + "\n" for r in rows), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["did", "--series", str(series), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {estimator} estimator: ") and err.count("\n") == 1, err
+
+
 def test_unknown_method_rejected_by_parser(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["build", "--input", "x.csv", "--out", str(tmp_path), "--method", "bogus"])
@@ -300,6 +351,30 @@ def test_reruns_are_byte_identical(tmp_path):
         assert names == sorted(p.name for p in outs[1].iterdir()) and names
         for name in names:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    # every JSON file the commands wrote is RFC 8259 JSON
+    written = [p for p in tmp_path.rglob("*.json") if p.name not in ("calib.json", "scenario.json")]
+    assert {"a.manifest.json", "did.json", "spectrum_2014.json", "cascade.json"} <= {p.name for p in written}
+    for path in written:
+        strict_json(path)
+
+
+def test_analyze_spectra_writes_each_years_eigenvalues(tmp_path):
+    panel = tmp_path / "panel.csv"
+    assert main(["synth", "--calib", str(write_calibration(tmp_path / "calib.json", n=6)), "--out", str(panel)]) == 0
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", str(panel), "--spectra", "--out", str(out)]) == 0
+    lambda2s = {int(r["year"]): float(r["lambda2"]) for r in read_csv(out / "fragility.csv")}
+    loaded = load_panel(panel)
+    for year in loaded.years:
+        doc = strict_json(out / f"spectrum_{year}.json")
+        assert sorted(doc) == ["bank_order", "eigenvalues", "normalized"]
+        assert doc["bank_order"] == [r.lei for r in loaded.records[year]]
+        assert doc["normalized"] is False
+        graph = build_graph(loaded, year)
+        laplacian = np.diag(graph.degrees()) - graph.weights
+        assert doc["eigenvalues"] == pytest.approx(np.linalg.eigvalsh(laplacian), rel=1e-9, abs=1e-9)
+        assert doc["eigenvalues"][1] == lambda2s[year]
 
 
 def test_stress_command_runs_scenario(tmp_path):
@@ -440,10 +515,13 @@ def test_stress_rejects_distress_beyond_the_float_range(tmp_path, capsys):
                     "capitals": {b: 1.0 for b in banks}}),
         encoding="utf-8",
     )
-    with np.errstate(over="ignore", invalid="ignore"):
+    # the overflow is reported by the error alone, with no NumPy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rc = main(["stress", "--input", str(edges), "--scenario", str(scenario), "--out", str(tmp_path / "o")])
     assert rc == 1
-    assert "window 1: distress is no longer finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: window 1: distress is no longer finite") and err.count("\n") == 1, err
 
 
 def non_utf8_case(tmp_path, loader):

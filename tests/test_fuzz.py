@@ -1,17 +1,22 @@
 """Generated inputs through the command line: whatever the scenario file or
 the edge list holds, `fragnet stress` ends with exit code 0, 1 or 2 and never
 lets an exception escape; so do `fragnet did --series` and
-`fragnet analyze --series`, whatever the series file holds."""
+`fragnet analyze --series`, whatever the series file holds, `fragnet build`,
+whatever the panel and its manifest hold, and `fragnet synth --calib`,
+whatever the calibration holds. Every JSON file written is RFC 8259 JSON."""
 
 import json
 import math
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import strict_json
 from fragnet.cli import main
+from fragnet.panel import CSV_HEADER
 
 BANKS = ["A", "B", "C", "D"]
 EDGES = "year,bank_i,bank_j,weight\n2014,A,B,2.0\n2014,B,C,1.0\n2014,C,D,3.0\n2014,A,D,0.5\n"
@@ -134,4 +139,98 @@ def test_series_commands_survive_generated_series(text, command):
         tmp = Path(tmp)
         (tmp / "series.csv").write_text(text, encoding="utf-8")
         rc = main([command, "--series", str(tmp / "series.csv"), "--out", str(tmp / "out")])
+        for path in (tmp / "out").glob("*.json"):
+            strict_json(path)
+    assert rc in (0, 1, 2)
+
+
+PANEL_BANKS = [(f"BANK{k:016d}", country) for k, country in enumerate(["DE", "FR", "IT"])]
+money = st.one_of(
+    st.floats().map(repr), st.sampled_from(["1e308", "-0", "-1", "", "nan", "1_0"]), st.text(max_size=4),
+)
+
+
+@st.composite
+def panel_texts(draw):
+    """A panel of three banks in two years with at most a few cells replaced:
+    a bank-level field that then differs between the bank's rows, or a money
+    field holding any float or short text; now and then a broken header."""
+    rows = [
+        [year, lei, f"Bank {country}", country, "100.0", "10.0", exp, repr(draw(st.floats(0.0, 50.0)))]
+        for year in ("2014", "2016") for lei, country in PANEL_BANKS for exp in ("DE", "FR", "IT")
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        col = draw(st.sampled_from([2, 3, 4, 5, 7]))
+        row[col] = draw(money if col in (4, 5, 7) else st.one_of(st.text(max_size=4), st.sampled_from(["FR", "XX"])))
+    header = ",".join(CSV_HEADER)
+    if draw(st.integers(0, 5)) == 0:
+        header = draw(st.sampled_from(["", header.replace("year", "yr"), header + ",extra", header.rsplit(",", 1)[0]]))
+    return "\n".join([header] + [",".join(r) for r in rows]) + "\n"
+
+
+# a manifest that matches the panel, disagrees with it, or is not one at all
+manifests = st.one_of(
+    st.none(),
+    st.fixed_dictionaries({
+        "years": st.one_of(st.just([2014, 2016]), st.just([2014]), junk),
+        "bank_counts": st.one_of(
+            st.dictionaries(st.sampled_from(["2014", "2016", "x"]), st.one_of(st.integers(0, 4), junk), max_size=2),
+            junk,
+        ),
+    }).map(json.dumps),
+    junk.map(json.dumps),
+    st.just("{"),
+)
+
+
+@pytest.mark.filterwarnings("ignore")
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=panel_texts(), manifest=manifests)
+def test_build_survives_generated_panels(text, manifest):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "panel.csv").write_text(text, encoding="utf-8")
+        if manifest is not None:
+            (tmp / "panel.manifest.json").write_text(manifest, encoding="utf-8")
+        rc = main(["build", "--input", str(tmp / "panel.csv"), "--out", str(tmp / "out")])
+    assert rc in (0, 1, 2)
+
+
+@st.composite
+def calibrations(draw):
+    """A calibration of two small years with at most a few of its years or
+    fields replaced by any JSON value or left out, and now and then a year
+    that is not a year."""
+    doc = {
+        year: {
+            "n_banks": draw(st.integers(2, 6)),
+            "total_exposure": draw(st.floats(1.0, 1e4)),
+            "country_list": draw(st.lists(st.sampled_from(["DE", "FR", "IT", "XX"]), min_size=1, max_size=3)),
+        }
+        for year in ("2014", "2016")
+    }
+    places = [f"{y}.{f}" for y in doc for f in doc[y]] + list(doc)
+    for place in draw(st.sets(st.sampled_from(places), max_size=3)):
+        year, _, field = place.partition(".")
+        entry = doc if not field else doc.get(year)
+        if isinstance(entry, dict):
+            if draw(st.booleans()):
+                entry[field or year] = draw(junk)
+            else:
+                entry.pop(field or year, None)
+    if draw(st.integers(0, 5)) == 0:
+        doc[draw(st.sampled_from(["", "x", "2014.5", "-1"]))] = doc.get("2014")
+    return doc
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=calibrations())
+def test_synth_survives_generated_calibrations(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "calib.json").write_text(json.dumps(doc), encoding="utf-8")
+        rc = main(["synth", "--calib", str(tmp / "calib.json"), "--out", str(tmp / "out" / "panel.csv")])
+        for path in (tmp / "out").glob("*.json"):
+            strict_json(path)
     assert rc in (0, 1, 2)

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -11,8 +12,11 @@ from fragnet.panel import (
     CSV_HEADER,
     BankRecord,
     ExposurePanel,
+    _cell,
     load_panel,
     synthesize_panel,
+    write_csv,
+    write_json,
     write_panel,
 )
 
@@ -201,6 +205,34 @@ def test_malformed_manifest_names_file_and_field(tmp_path, text, field):
     with pytest.raises(InputError, match=field) as exc:
         load_panel(path)
     assert "p.manifest.json" in str(exc.value)
+
+
+# ---------------------------------------------------------------------------
+# writers
+
+
+def test_write_csv_streams_rows_with_lf_endings(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a", "b"], ([k, f"x,{k}"] for k in range(2)))
+    assert path.read_bytes() == b'a,b\n0,"x,0"\n1,"x,1"\n'
+
+
+def test_cells_leave_missing_values_empty():
+    assert [_cell(v) for v in (None, math.nan, 0.1, 3, math.inf)] == [
+        "", "", "0.10000000000000001", "3", "inf"
+    ]
+
+
+def test_write_json_sorts_keys_and_refuses_nan(tmp_path):
+    path = tmp_path / "d.json"
+    write_json(path, {"b": [1.5, None], "a": {"y": 1, "x": 0.1}})
+    assert path.read_bytes() == b'{"a": {"x": 0.1, "y": 1}, "b": [1.5, null]}\n'
+    write_json(path, {"b": 1, "a": 2}, indent=2)
+    assert path.read_bytes() == b'{\n  "a": 2,\n  "b": 1\n}\n'
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "bad.json", {"v": [bad]})
+    assert not (tmp_path / "bad.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import json
 import math
 import re
 from pathlib import Path
@@ -15,7 +14,6 @@ from fragnet.spectral import (
     DISCONNECT_TOL,
     complete_graph_lambda2,
     eigenbasis,
-    eigenvalues_to_json,
     fragility_metrics,
     lambda2,
     lambda2_batch,
@@ -389,21 +387,6 @@ def test_cheeger_inequality(rng):
         lam2 = fragility_metrics(g).normalized_lambda2
         assert lam2 / 2 <= h + 1e-9
         assert h <= math.sqrt(2 * lam2) + 1e-9
-
-
-# ---------------------------------------------------------------------------
-# export
-
-
-def test_spectrum_to_json(tmp_path):
-    g = complete_graph(3, 1.0)
-    path = tmp_path / "spec.json"
-    eigenvalues_to_json(fragility_metrics(g).eigenvalues, g.banks, path)
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    assert sorted(doc) == ["bank_order", "eigenvalues", "normalized"]
-    assert doc["bank_order"] == ["N0", "N1", "N2"]
-    assert doc["normalized"] is False
-    assert doc["eigenvalues"] == pytest.approx([0.0, 3.0, 3.0])
 
 
 # ---------------------------------------------------------------------------
