@@ -264,6 +264,9 @@ def cmd_did(args) -> int:
     series = make_series(values, pre, post)
     level = did_level(series)
     detrended = did_detrended(series)
+    # every estimate comes before the first file is written, so a run that
+    # fails leaves no outputs behind
+    placebos = {false_year: placebo_test(series, false_year) for false_year in args.placebo or []}
 
     boot = None
     if args.bootstrap_b:
@@ -303,8 +306,7 @@ def cmd_did(args) -> int:
     if boot is not None:
         doc["bootstrap"] = bootstrap_to_dict(boot)
 
-    for false_year in args.placebo or []:
-        placebo = placebo_test(series, false_year)
+    for false_year, placebo in placebos.items():
         placebo_values = {y: series.value(y) for y in placebo.effects}
         _did_table(out / f"placebo_{false_year}.csv", placebo, placebo_values, None)
         doc.setdefault("placebo", {})[str(false_year)] = did_to_dict(placebo)

@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, InputError
-from .network import WeightedGraph, allocate_arrays, year_arrays
+from .network import WeightedGraph, YearArrays, allocate_arrays, year_arrays
 from .panel import ExposurePanel, open_input
-from .spectral import lambda2, lambda2_batch, stack_members
+from .spectral import lambda2, lambda2_quotient, stack_members
 
 
 @dataclass
@@ -85,6 +85,8 @@ class BootstrapResult:
     replicates: dict[int, np.ndarray]
     ci: dict[int, tuple[float, float]]
     p_values: dict[int, float]
+    # per year, the resamples that count as disconnected (lambda2 = 0)
+    disconnected: dict[int, int]
 
 
 def _pre_mean(series: FragilitySeries) -> float:
@@ -279,6 +281,58 @@ def policy_calculators(
     return {"buffers": buffers, "alpha_t": alpha_t, "flagged_edges": flagged}
 
 
+def _quotients(entries: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Quotient Laplacians and twin values of a (k, m, m) stack of directed
+    allocations whose banks have counts[d, k] copies each.
+
+    With W the symmetrized weights, S = diag(sum_{l != k} c_l W_kl) -
+    C^(1/2) W_off C^(1/2) and the twin value of bank k is
+    sum_{l != k} c_l W_kl + c_k W_kk, W_kk being the weight between two
+    copies of k.
+    """
+    # twice the symmetrized weights; halving is exact, so it is folded
+    # into the products below
+    doubled = entries + entries.transpose(0, 2, 1)
+    diag = np.arange(doubled.shape[-1])
+    between_copies = entries[:, diag, diag]
+    doubled[:, diag, diag] = 0.0
+    degree = 0.5 * np.einsum("dkl,dl->dk", doubled, counts)
+    root = np.sqrt(counts)
+    laplacians = doubled * (-0.5 * root[:, :, None] * root[:, None, :])
+    laplacians[:, diag, diag] = degree
+    return laplacians, degree + counts * between_copies
+
+
+def lambda2_of_resamples(arrays: YearArrays, method: str, draws: np.ndarray) -> np.ndarray:
+    """Algebraic connectivity of the resample network of each row of a
+    (B, n) array of drawn bank indices; 0 for a disconnected resample.
+
+    A bank drawn c times enters as c twin nodes, so each row is solved on
+    its m x m quotient over its m distinct banks (`lambda2_quotient`), never
+    as the n x n network. Rows are grouped by m and each group is solved in
+    chunks of `stack_members(m)`, one stacked call per chunk; every member
+    is solved on its own, so a row's value does not depend on its group.
+    """
+    B, n = draws.shape
+    ordered = np.sort(draws, axis=1)
+    first = np.ones(ordered.shape, dtype=bool)
+    first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    distinct = first.sum(axis=1)
+    out = np.empty(B)
+    for m in np.unique(distinct).tolist():
+        members = np.nonzero(distinct == m)[0]
+        starts = np.nonzero(first[members])[1].reshape(-1, m)
+        banks = np.take_along_axis(ordered[members], starts, axis=1)
+        counts = np.diff(starts, axis=1, append=n).astype(float)
+        chunk = stack_members(m)
+        for lo in range(0, len(members), chunk):
+            part = slice(lo, lo + chunk)
+            entries, _ = allocate_arrays(arrays, method, banks[part], counts[part])
+            laplacians, twins = _quotients(entries, counts[part])
+            out[members[part]] = lambda2_quotient(laplacians, twins, counts[part])
+    return out
+
+
 def bootstrap_did(
     panel: ExposurePanel,
     B: int,
@@ -298,7 +352,8 @@ def bootstrap_did(
     Replicate b draws from its own stream derived from (seed, b), so results
     are identical regardless of evaluation order, and two runs with the same
     arguments are byte-identical when serialized. The resamples of a year are
-    then allocated and solved in chunks, one stacked solve per chunk.
+    then solved on their twin quotients by `lambda2_of_resamples`, and the
+    result counts, per year, the resamples that came out disconnected.
 
     Two-sided p-values are 2 * min(share of draws <= 0, share > 0); the 95%
     interval takes the 2.5th and 97.5th percentiles with linear interpolation.
@@ -329,15 +384,7 @@ def bootstrap_did(
         for y in all_years:
             draws[y][b] = rng.integers(0, sizes[y], size=sizes[y])
 
-    lam2 = {}
-    for y in all_years:
-        lam2[y] = np.empty(B)
-        # resamples of a year are allocated and solved together
-        chunk = stack_members(sizes[y])
-        for start in range(0, B, chunk):
-            entries, _ = allocate_arrays(arrays[y], method, draws[y][start : start + chunk])
-            stack = (entries + entries.transpose(0, 2, 1)) / 2.0
-            lam2[y][start : start + chunk] = lambda2_batch(stack)
+    lam2 = {y: lambda2_of_resamples(arrays[y], method, draws[y]) for y in all_years}
 
     if variant == "level":
         alpha = sum(lam2[y] for y in pre_years) / len(pre_years)
@@ -369,6 +416,7 @@ def bootstrap_did(
         replicates=betas,
         ci=ci,
         p_values=p_values,
+        disconnected={y: int(np.count_nonzero(lam2[y] == 0.0)) for y in all_years},
     )
 
 
@@ -434,4 +482,5 @@ def bootstrap_to_dict(result: BootstrapResult) -> dict:
         "post_years": list(result.post_years),
         "ci": {str(y): [lo, hi] for y, (lo, hi) in result.ci.items()},
         "p_values": {str(y): p for y, p in result.p_values.items()},
+        "disconnected": {str(y): count for y, count in result.disconnected.items()},
     }

@@ -160,9 +160,16 @@ def _allocation_basis(arrays: YearArrays, method: str, idx: np.ndarray) -> np.nd
 
 
 def allocate_arrays(
-    arrays: YearArrays, method: str = "equal", idx: np.ndarray | None = None
+    arrays: YearArrays,
+    method: str = "equal",
+    idx: np.ndarray | None = None,
+    counts: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Directed allocation on the array view, for one draw or a stack of them.
+
+    A draw holds each of its banks once, with the number of copies of it
+    in the network. Copies of one bank are twin nodes: they allocate and
+    receive alike, so one row and one column per bank describe them all.
 
     Parameters
     ----------
@@ -170,27 +177,33 @@ def allocate_arrays(
     method : str
         One of ``equal``, ``size_weighted``, ``exposure_weighted``.
     idx : ndarray, optional
-        Row indices selecting (possibly repeated) banks, shape ``(n,)`` or
-        ``(k, n)`` for k draws; repeats become distinct nodes and
-        counterparty denominators count multiplicity.
+        Row indices of the banks drawn, shape ``(n,)`` or ``(k, n)`` for k
+        draws; all banks of the year when omitted. A bank listed twice is
+        two nodes, the network of one entry with a count of 2.
+    counts : ndarray, optional
+        Copies of each bank in idx, same shape; 1 when omitted. Counterparty
+        denominators count every copy but the allocating one.
 
     Returns
     -------
     (entries, unallocated)
-        entries[..., i, j] is the directed estimate from node i to node j;
-        unallocated[..., i] is exposure of node i that had no eligible
-        counterparty (external countries, or own country with no other bank).
-        A ``(k, n)`` idx gives ``(k, n, n)`` and ``(k, n)`` results whose
-        slice k equals the result for ``idx[k]`` bit for bit.
+        entries[..., i, j] is the directed estimate from one copy of bank
+        idx[i] to one copy of bank idx[j]; the diagonal entry runs between
+        two copies of a bank and is 0 for a bank drawn once. unallocated[..., i]
+        is exposure of one copy of idx[i] that had no eligible counterparty
+        (external countries, or own country with no other bank). A ``(k, n)``
+        idx gives ``(k, n, n)`` and ``(k, n)`` results whose slice k equals
+        the result for ``idx[k]`` bit for bit.
     """
     if idx is None:
         idx = np.arange(len(arrays.leis))
     idx = np.asarray(idx, dtype=np.intp)
     single = idx.ndim == 1
     idx = np.atleast_2d(idx)
-    k, n = idx.shape
-    if n < 2:
+    counts = np.ones(idx.shape) if counts is None else np.atleast_2d(np.asarray(counts, dtype=float))
+    if np.any(counts.sum(axis=1) < 2):
         raise DomainError("a network needs at least 2 banks")
+    k, n = idx.shape
     m = len(arrays.countries)
     home = arrays.home[idx]
     E = arrays.E[idx]
@@ -200,26 +213,28 @@ def allocate_arrays(
     # draw-offset country codes; each bin sums its draw's banks in order
     draw = np.arange(k)[:, None]
     cell = (home + m * draw).ravel()
-    count = np.bincount(cell, minlength=k * m).astype(float).reshape(k, m)
-    mass = np.bincount(cell, weights=basis.ravel(), minlength=k * m).reshape(k, m)
+    count = np.bincount(cell, weights=counts.ravel(), minlength=k * m).reshape(k, m)
+    mass = np.bincount(cell, weights=(counts * basis).ravel(), minlength=k * m).reshape(k, m)
     rows = np.arange(n)[None, :]
     eligible = np.repeat(count[:, None, :], n, axis=1)
     eligible[draw, rows, home] -= 1.0
     denom = np.repeat(mass[:, None, :], n, axis=1)
     denom[draw, rows, home] -= basis
 
-    if np.any((eligible > 0) & (denom <= 0)):
+    placed = eligible > 0
+    if np.any(placed & (denom <= 0)):
         raise DomainError("zero-weight denominator in weighted allocation")
 
-    safe = np.where(eligible > 0, denom, np.inf)
+    safe = np.where(placed, denom, np.inf)
     # flat positions of [d, i, home[d, j]] in the (k, n, m) arrays; they are
     # in range by construction, and "clip" skips take's bounds check
     at_home = (m * np.arange(k * n)).reshape(k, n, 1) + home[:, None, :]
     entries = E.take(at_home, mode="clip") * (
         basis[:, None, :] / safe.take(at_home, mode="clip")
     )
-    entries[:, rows[0], rows[0]] = 0.0
-    unallocated = arrays.external_dropped[idx] + np.where(eligible > 0, 0.0, E).sum(axis=2)
+    diag = rows[0]
+    entries[:, diag, diag] = np.where(counts > 1, entries[:, diag, diag], 0.0)
+    unallocated = arrays.external_dropped[idx] + np.where(placed, 0.0, E).sum(axis=2)
     if single:
         return entries[0], unallocated[0]
     return entries, unallocated
@@ -292,6 +307,17 @@ def validate_conservation(
     return ValidationReport(not failures, float(total_directed), float(total_graph), failures)
 
 
+def _sd(x: np.ndarray) -> float:
+    """Population standard deviation of finite values; values whose squares
+    would leave the float range are scaled by their largest magnitude first."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = float(x.std())
+    if not math.isfinite(sd):
+        top = float(np.abs(x).max())
+        sd = top * float((x / top).std())
+    return sd
+
+
 def network_stats(graph: WeightedGraph) -> NetworkStats:
     """Descriptive statistics; an edge exists where the weight is strictly positive."""
     graph.validate()
@@ -309,12 +335,12 @@ def network_stats(graph: WeightedGraph) -> NetworkStats:
         density=n_edges / possible if possible else 0.0,
         total_weight=total,
         mean_weight=float(positive.mean()) if n_edges else 0.0,
-        sd_weight=float(positive.std()) if n_edges else 0.0,
+        sd_weight=_sd(positive) if n_edges else 0.0,
         min_weight=float(positive.min()) if n_edges else 0.0,
         max_weight=float(positive.max()) if n_edges else 0.0,
         degrees=degrees,
         mean_degree=2.0 * total / n,
-        sd_degree=float(degrees.std()),
+        sd_degree=_sd(degrees),
     )
 
 

@@ -131,29 +131,29 @@ class ExposurePanel:
     records: dict[int, list[BankRecord]]
 
 
-def _check_lei(lei: str, line: int) -> None:
+def _check_lei(lei: str, path: Path, line: int) -> None:
     if len(lei) != 20 or not lei.isalnum():
         raise InputError(
-            f"line {line}: lei {lei!r} is not a 20-character alphanumeric identifier"
+            f"{path}: line {line}: lei {lei!r} is not a 20-character alphanumeric identifier"
         )
 
 
-def _warn_country(code: str, line: int) -> None:
+def _warn_country(code: str, path: Path, line: int) -> None:
     if code not in ISO_ALPHA2:
         warnings.warn(
-            f"line {line}: unknown country code {code!r} retained", stacklevel=3
+            f"{path}: line {line}: unknown country code {code!r} retained", stacklevel=3
         )
 
 
-def _parse_money(text: str, line: int, column: str) -> float:
+def _parse_money(text: str, path: Path, line: int, column: str) -> float:
     try:
         value = float(text)
     except ValueError as exc:
-        raise InputError(f"line {line}: column {column}: not a number: {text!r}") from exc
+        raise InputError(f"{path}: line {line}: column {column}: not a number: {text!r}") from exc
     if not np.isfinite(value):
-        raise InputError(f"line {line}: column {column}: non-finite value {text!r}")
+        raise InputError(f"{path}: line {line}: column {column}: non-finite value {text!r}")
     if value < 0:
-        raise InputError(f"line {line}: column {column}: negative value {value}")
+        raise InputError(f"{path}: line {line}: column {column}: negative value {value}")
     return value
 
 
@@ -176,11 +176,13 @@ def load_panel(path: str | Path) -> ExposurePanel:
     ------
     InputError
         Missing file, malformed rows, duplicate identifiers, negative
-        amounts, or a manifest mismatch. Messages carry line numbers.
+        amounts, a year whose exposure amounts sum beyond the float range,
+        or a manifest mismatch. Messages name the file and the line.
     """
     path = Path(path)
     banks: dict[tuple[int, str], BankRecord] = {}
     seen_pairs: set[tuple[int, str, str]] = set()
+    totals: dict[int, float] = {}
 
     with open_input(path) as fh:
         reader = csv.reader(fh)
@@ -198,28 +200,36 @@ def load_panel(path: str | Path) -> ExposurePanel:
                 continue
             if len(row) != len(CSV_HEADER):
                 raise InputError(
-                    f"line {line}: expected {len(CSV_HEADER)} fields, got {len(row)}"
+                    f"{path}: line {line}: expected {len(CSV_HEADER)} fields, got {len(row)}"
                 )
             year_s, lei, name, country, assets_s, capital_s, exp_country, exp_s = row
             try:
                 year = int(year_s)
             except ValueError as exc:
-                raise InputError(f"line {line}: column year: not an integer: {year_s!r}") from exc
-            _check_lei(lei, line)
-            _warn_country(country, line)
-            _warn_country(exp_country, line)
-            assets = _parse_money(assets_s, line, "total_assets")
-            capital = _parse_money(capital_s, line, "capital")
-            amount = _parse_money(exp_s, line, "exposure_amount")
+                raise InputError(f"{path}: line {line}: column year: not an integer: {year_s!r}") from exc
+            _check_lei(lei, path, line)
+            _warn_country(country, path, line)
+            _warn_country(exp_country, path, line)
+            assets = _parse_money(assets_s, path, line, "total_assets")
+            capital = _parse_money(capital_s, path, line, "capital")
+            amount = _parse_money(exp_s, path, line, "exposure_amount")
 
             key = (year, lei)
             pair = (year, lei, exp_country)
             if pair in seen_pairs:
                 raise InputError(
-                    f"line {line}: duplicate identifier: lei {lei} listed twice for "
+                    f"{path}: line {line}: duplicate identifier: lei {lei} listed twice for "
                     f"{exp_country} in year {year}"
                 )
             seen_pairs.add(pair)
+            # a year whose exposures sum beyond the float range would give
+            # infinite weights and degrees
+            total = totals.get(year, 0.0) + amount
+            if math.isinf(total):
+                raise InputError(
+                    f"{path}: line {line}: year {year}: exposure amounts sum beyond the float range"
+                )
+            totals[year] = total
             rec = banks.get(key)
             if rec is None:
                 banks[key] = BankRecord(lei, name, country, assets, capital, {exp_country: amount})
@@ -231,7 +241,7 @@ def load_panel(path: str | Path) -> ExposurePanel:
                     capital,
                 ):
                     raise InputError(
-                        f"line {line}: duplicate identifier: lei {lei} in year {year} "
+                        f"{path}: line {line}: duplicate identifier: lei {lei} in year {year} "
                         f"has conflicting bank-level fields"
                     )
                 rec.exposures[exp_country] = amount
@@ -246,7 +256,7 @@ def load_panel(path: str | Path) -> ExposurePanel:
     for year in years:
         records[year].sort(key=lambda r: r.lei)
         if len(records[year]) < 2:
-            raise InputError(f"year {year}: fewer than 2 banks, a network needs at least 2")
+            raise InputError(f"{path}: year {year}: fewer than 2 banks, a network needs at least 2")
 
     panel = ExposurePanel(years=years, records=records)
 

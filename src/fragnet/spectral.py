@@ -3,11 +3,13 @@
 The networks here are small and complete, so every solve is a dense LAPACK
 call through NumPy (`numpy.linalg.eigvalsh`/`eigh`), and this is the only
 module that makes one. Most callers need only lambda2 or the eigenvalues:
-`lambda2_batch(stack)` solves a stack of same-sized networks in one call,
-`lambda2(weights)` is its one-network case, and `fragility_metrics` asks for
-eigenvalues alone. Eigenvectors are computed only by `eigenbasis`, for the
-diffusion dynamics, and by `lambda2_cut_bounds`, which screens candidate
-edge cuts from one decomposition.
+`lambda2_quotient` solves a stack of networks given by their twin quotients
+(bootstrap resamples draw banks more than once) in one call,
+`lambda2_batch(stack)` is its case of same-sized networks with every bank
+once, `lambda2(weights)` is the one-network case, and `fragility_metrics`
+asks for eigenvalues alone. Eigenvectors are computed only by `eigenbasis`,
+for the diffusion dynamics, and by `lambda2_cut_bounds`, which screens
+candidate edge cuts from one decomposition.
 A graph counts as disconnected when lambda2 < DISCONNECT_TOL * lambda_n;
 floating-point zero eigenvalues are never exact.
 """
@@ -49,9 +51,14 @@ class FragilityMetrics:
     eigenvalues: np.ndarray = field(repr=False)
 
 
+def _rule(second: np.ndarray, largest: np.ndarray) -> np.ndarray:
+    """The disconnect rule on the second-smallest and the largest eigenvalue."""
+    return (largest > 0) & (second >= DISCONNECT_TOL * largest)
+
+
 def _connected(lam: np.ndarray) -> np.ndarray:
     """The disconnect rule on ascending eigenvalues, along the last axis."""
-    return (lam[..., -1] > 0) & (lam[..., 1] >= DISCONNECT_TOL * lam[..., -1])
+    return _rule(lam[..., 1], lam[..., -1])
 
 
 def _lambda2_of(lam: np.ndarray) -> np.ndarray:
@@ -86,14 +93,44 @@ def _eigh(entries: np.ndarray, eigvals_only: bool):
         ) from exc
 
 
+def lambda2_quotient(
+    laplacians: np.ndarray, twins: np.ndarray | None = None, counts: np.ndarray | None = None
+) -> np.ndarray:
+    """Algebraic connectivity of each network in a stack given by its twin
+    quotient; 0 for a disconnected member.
+
+    A network whose bank j appears as counts[..., j] twin copies has the
+    eigenvalues of its m x m quotient Laplacian S (laplacians is a stack of
+    them) together with each twin value twins[..., j] repeated
+    counts[..., j] - 1 times: a vector
+    that sums to zero over the copies of one bank and vanishes elsewhere is
+    an eigenvector (equitable partitions; Godsil & Royle, Algebraic Graph
+    Theory, 2001, ch. 9). lambda2 is the second-smallest of that union and
+    the disconnect rule takes lambda_n as its largest. Without counts every
+    bank is there once and S is the Laplacian itself. One eigenvalue-only
+    solve covers the stack, member for member.
+    """
+    lam = _eigh(laplacians, eigvals_only=True)
+    if counts is None:
+        return _lambda2_of(lam)
+    twice = counts > 1
+    # lambda1 = 0 is the quotient's (the constant vector), so a twin value
+    # repeated can rank second only through its first copy
+    low = np.concatenate((lam[..., :2], np.where(twice, twins, np.inf)), axis=-1)
+    second = np.partition(low, 1, axis=-1)[..., 1]
+    largest = np.maximum(lam[..., -1], np.where(twice, twins, -np.inf).max(axis=-1))
+    return np.where(_rule(second, largest), second, 0.0)
+
+
 def lambda2_batch(weights: np.ndarray) -> np.ndarray:
     """Algebraic connectivity of each network in a (k, n, n) stack of weight
     matrices, from one eigenvalue-only solve; 0 for a disconnected member.
 
-    The weights are taken as given (square, symmetric, non-negative): public
-    entry points validate their graphs once, not once per solve.
+    The case of `lambda2_quotient` with every bank once. The weights are
+    taken as given (square, symmetric, non-negative): public entry points
+    validate their graphs once, not once per solve.
     """
-    return _lambda2_of(_eigh(_laplacian_entries(weights), eigvals_only=True))
+    return lambda2_quotient(_laplacian_entries(weights))
 
 
 def stack_members(n: int) -> int:

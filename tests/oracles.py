@@ -122,6 +122,45 @@ def resistance_distances(weights) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# bootstrap resamples, node by node
+
+
+def resample_weights(E, home, basis, external, idx) -> np.ndarray:
+    """Symmetric weights of the full resample network of the banks idx,
+    one node per entry, so a bank drawn twice is two nodes.
+
+    Node a, a copy of bank idx[a], splits its exposure E[idx[a], h] to each
+    country h over the other nodes whose bank is at home in h, in proportion
+    to their basis; exposure with no such node, and the external exposure,
+    stay unallocated. Each node's allocated and unallocated exposure is
+    checked to add up to the bank's whole exposure.
+    """
+    E, basis, external = (np.asarray(x, dtype=float) for x in (E, basis, external))
+    node_home = np.asarray(home)[idx]
+    node_basis = basis[idx]
+    n, countries = len(idx), E.shape[1]
+    directed = np.zeros((n, n))
+    for a in range(n):
+        others = node_home[None, :] == np.arange(countries)[:, None]
+        others[:, a] = False
+        mass = (others * node_basis).sum(axis=1)
+        placed = mass > 0
+        share = np.zeros((countries, n))
+        share[placed] = others[placed] * node_basis / mass[placed, None]
+        directed[a] = E[idx[a]] @ share
+        unallocated = external[idx[a]] + E[idx[a], ~placed].sum()
+        whole = E[idx[a]].sum() + external[idx[a]]
+        assert math.isclose(directed[a].sum() + unallocated, whole, rel_tol=1e-12, abs_tol=1e-12)
+    return (directed + directed.T) / 2.0
+
+
+def resample_lambda2(E, home, basis, external, idx) -> float:
+    """lambda2 of the full resample network of the banks idx (see
+    `resample_weights`) by one n x n eigvalsh, 0 when disconnected."""
+    return _connectivity(resample_weights(E, home, basis, external, idx))
+
+
+# ---------------------------------------------------------------------------
 # time-stepping integrators for dx/dt = -L x + f
 
 

@@ -214,6 +214,15 @@ def test_series_and_input_are_mutually_exclusive(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_failed_did_writes_nothing(tmp_path):
+    # 2014 is not inside the pre-period, so the placebo fails after every
+    # other estimate has been made
+    out = tmp_path / "out"
+    rc = main(["did", "--series", str(write_series(tmp_path / "series.csv")), "--out", str(out), "--placebo", "2014"])
+    assert rc == 1
+    assert list(out.iterdir()) == []
+
+
 def test_did_zero_baseline_leaves_pct_change_undefined(tmp_path):
     series = tmp_path / "series.csv"
     series.write_text("year,lambda2\n2014,0\n2016,0\n2018,0\n2021,5\n2023,7\n", encoding="utf-8")

@@ -2,16 +2,18 @@
 the edge list holds, `fragnet stress` ends with exit code 0, 1 or 2 and never
 lets an exception escape; so do `fragnet did --series` and
 `fragnet analyze --series`, whatever the series file holds, `fragnet build`,
-whatever the panel and its manifest hold, and `fragnet synth --calib`,
-whatever the calibration holds. Every JSON file written is RFC 8259 JSON."""
+whatever the panel and its manifest hold (and a `build` that succeeds
+writes only finite numbers), and `fragnet synth --calib`, whatever the
+calibration holds. Every JSON file written is RFC 8259 JSON."""
 
+import csv
 import json
 import math
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import strict_json
@@ -150,15 +152,22 @@ money = st.one_of(
 )
 
 
+def panel_text(amount) -> str:
+    """The generated panels' shape with every exposure amount given by
+    amount(year, bank, exposure country)."""
+    rows = [
+        [year, lei, f"Bank {country}", country, "100.0", "10.0", exp, amount(year, lei, exp)]
+        for year in ("2014", "2016") for lei, country in PANEL_BANKS for exp in ("DE", "FR", "IT")
+    ]
+    return "\n".join([",".join(CSV_HEADER)] + [",".join(r) for r in rows]) + "\n"
+
+
 @st.composite
 def panel_texts(draw):
     """A panel of three banks in two years with at most a few cells replaced:
     a bank-level field that then differs between the bank's rows, or a money
     field holding any float or short text; now and then a broken header."""
-    rows = [
-        [year, lei, f"Bank {country}", country, "100.0", "10.0", exp, repr(draw(st.floats(0.0, 50.0)))]
-        for year in ("2014", "2016") for lei, country in PANEL_BANKS for exp in ("DE", "FR", "IT")
-    ]
+    rows = [line.split(",") for line in panel_text(lambda *_: repr(draw(st.floats(0.0, 50.0)))).splitlines()[1:]]
     for _ in range(draw(st.integers(0, 2))):
         row = rows[draw(st.integers(0, len(rows) - 1))]
         col = draw(st.sampled_from([2, 3, 4, 5, 7]))
@@ -187,6 +196,9 @@ manifests = st.one_of(
 @pytest.mark.filterwarnings("ignore")
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(text=panel_texts(), manifest=manifests)
+# exposures whose sum leaves the float range, and weights whose squares do
+@example(text=panel_text(lambda year, lei, exp: "1.7e308" if exp == "DE" else "1.0"), manifest=None)
+@example(text=panel_text(lambda year, lei, exp: "1e300" if lei.endswith("1") else "1.0"), manifest=None)
 def test_build_survives_generated_panels(text, manifest):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -194,7 +206,22 @@ def test_build_survives_generated_panels(text, manifest):
         if manifest is not None:
             (tmp / "panel.manifest.json").write_text(manifest, encoding="utf-8")
         rc = main(["build", "--input", str(tmp / "panel.csv"), "--out", str(tmp / "out")])
+        if rc == 0:
+            for path in [tmp / "out" / "network_stats.csv", *(tmp / "out").glob("edges_*.csv")]:
+                assert_finite_numbers(path)
     assert rc in (0, 1, 2)
+
+
+def assert_finite_numbers(path):
+    """Every cell of a CSV file that reads as a number is finite."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        for row in csv.reader(fh):
+            for cell in row:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue
+                assert math.isfinite(value), f"{path.name}: {cell!r} in {row}"
 
 
 @st.composite

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bank, complete_graph, graph_of
+from conftest import bank, complete_graph, graph_of, lei
 from fragnet.cli import DEFAULT_CALIBRATION
 from fragnet.errors import DomainError, InputError
 from fragnet.inference import (
@@ -16,6 +16,7 @@ from fragnet.inference import (
     did_detrended,
     did_level,
     did_to_dict,
+    lambda2_of_resamples,
     load_series_csv,
     make_series,
     ols_trend,
@@ -23,9 +24,10 @@ from fragnet.inference import (
     policy_calculators,
     subgroup_lambda2,
 )
-from fragnet.network import allocate, symmetrize
+from fragnet.network import METHODS, allocate, symmetrize, year_arrays
 from fragnet.panel import ExposurePanel, synthesize_panel
 from fragnet.spectral import lambda2
+from oracles import resample_lambda2, resample_weights
 
 OBSERVED = {2014: 1322.87, 2016: 1797.59, 2018: 2037.42, 2021: 2007.23, 2023: 2181.96}
 PRE = (2014, 2016, 2018)
@@ -424,7 +426,137 @@ def test_bootstrap_to_dict_fields():
     doc = bootstrap_to_dict(boot)
     assert doc["B"] == 100 and doc["master_seed"] == 4
     assert set(doc["ci"]) == {"2021", "2023"}
+    assert doc["disconnected"] == {str(y): 0 for y in PRE + POST}
     assert "replicates" not in doc
+
+
+def test_bootstrap_counts_disconnected_resamples():
+    # 2016's banks have no exposure at all, so every resample of it is
+    # disconnected; the two 2021 banks share a country and lend to it, so
+    # every resample of that year is connected
+    sizes = {2014: 5, 2018: 5, 2023: 5}
+    panel = synthesize_panel({y: tiny_calibration(n)[y] for y, n in sizes.items()}, seed=1)
+    panel.records[2016] = [bank(tag, "DE") for tag in ("aa", "bb", "cc")]
+    panel.records[2021] = [bank(tag, "DE", exposures={"DE": 2.0}) for tag in ("dd", "ee")]
+    panel.years = sorted(panel.records)
+    boot = bootstrap_did(panel, B=100, seed=3)
+    assert boot.disconnected[2016] == 100
+    assert boot.disconnected[2021] == 0
+    assert bootstrap_to_dict(boot)["disconnected"]["2016"] == 100
+
+
+# ---------------------------------------------------------------------------
+# bootstrap resamples on twin quotients, against full n x n solves
+
+
+def oracle_lambda2(arrays, method, draws):
+    basis = {"equal": np.ones(len(arrays.leis)), "size_weighted": arrays.assets,
+             "exposure_weighted": arrays.portfolios}[method]
+    return np.array([resample_lambda2(arrays.E, arrays.home, basis, arrays.external_dropped, d) for d in draws])
+
+
+def assert_quotients_match_oracle(arrays, draws):
+    draws = np.asarray(draws)
+    for method in METHODS:
+        got = lambda2_of_resamples(arrays, method, draws)
+        want = oracle_lambda2(arrays, method, draws)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=method)
+
+
+def four_banks():
+    # aa is the only DE bank, bb and cc share FR, dd is the only IT bank
+    return year_arrays(
+        [
+            bank("aa", "DE", assets=50.0, exposures={"FR": 10.0, "DE": 4.0, "IT": 1.0}),
+            bank("bb", "FR", assets=30.0, exposures={"DE": 3.0, "FR": 2.0, "US": 5.0}),
+            bank("cc", "FR", assets=20.0, exposures={"IT": 7.0, "FR": 1.5}),
+            bank("dd", "IT", assets=80.0, exposures={"DE": 2.0, "FR": 6.0, "IT": 3.0}),
+        ],
+        warn=False,
+    )
+
+
+def test_quotient_resamples_with_triplicates_match_full_solves():
+    draws = [[1, 1, 1, 3], [0, 0, 0, 2], [3, 2, 3, 3], [2, 1, 2, 2], [0, 1, 2, 3]]
+    assert_quotients_match_oracle(four_banks(), draws)
+
+
+def test_quotient_resample_of_one_bank():
+    # four copies of cc split its 1.5 to FR three ways: the complete graph
+    # on four nodes with weight 0.5, lambda2 = 4 * 0.5
+    arrays = four_banks()
+    assert_quotients_match_oracle(arrays, [[2, 2, 2, 2], [1, 1, 1, 1]])
+    assert lambda2_of_resamples(arrays, "equal", np.array([[2, 2, 2, 2]]))[0] == pytest.approx(2.0, rel=1e-14)
+
+
+def test_quotient_resample_that_is_disconnected():
+    # cc and dd lend only to their own countries, which no other bank
+    # shares: copies of each form a component of their own
+    arrays = year_arrays(
+        [
+            bank("aa", "DE", exposures={"DE": 4.0, "FR": 1.0}),
+            bank("bb", "FR", exposures={"FR": 2.0, "DE": 1.0}),
+            bank("cc", "IT", exposures={"IT": 3.0}),
+            bank("dd", "ES", exposures={"ES": 5.0}),
+        ],
+        warn=False,
+    )
+    draws = [[2, 2, 3, 3], [0, 1, 2, 2], [0, 1, 2, 3]]
+    assert_quotients_match_oracle(arrays, draws)
+    for method in METHODS:
+        assert np.array_equal(lambda2_of_resamples(arrays, method, np.array(draws)), np.zeros(3))
+
+
+def test_quotient_resample_whose_lambda2_is_a_twin_value():
+    # ee lends a little and nothing to its own country: its two copies are
+    # the network's weakest part, and lambda2 is their twin value, the
+    # degree of one copy plus the weight between the two
+    arrays = year_arrays(
+        [
+            bank("aa", "DE", exposures={"FR": 10.0, "DE": 4.0, "IT": 1.0}),
+            bank("bb", "FR", exposures={"DE": 3.0, "FR": 2.0}),
+            bank("cc", "FR", exposures={"IT": 7.0, "FR": 1.5}),
+            bank("dd", "IT", exposures={"DE": 2.0, "FR": 6.0, "IT": 3.0}),
+            bank("ee", "ES", exposures={"FR": 0.01, "DE": 0.01}),
+        ],
+        warn=False,
+    )
+    draw = [4, 4, 0, 1, 2, 3]
+    w = resample_weights(arrays.E, arrays.home, np.ones(5), arrays.external_dropped, draw)
+    twin = w[0].sum() + w[0, 1]
+    assert lambda2_of_resamples(arrays, "equal", np.array([draw]))[0] == pytest.approx(twin, rel=1e-12)
+    assert_quotients_match_oracle(arrays, [draw])
+
+
+def paper_year_arrays():
+    panel = synthesize_panel({2014: DEFAULT_CALIBRATION[2014]}, seed=42)
+    return year_arrays(panel.records[2014], warn=False)
+
+
+def test_quotient_resamples_match_full_solves_at_paper_scale():
+    arrays = paper_year_arrays()
+    n = len(arrays.leis)
+    assert_quotients_match_oracle(arrays, np.random.default_rng(11).integers(0, n, size=(200, n)))
+
+
+def test_resample_lambda2_does_not_depend_on_its_group():
+    arrays = paper_year_arrays()
+    n = len(arrays.leis)
+    draws = np.random.default_rng(5).integers(0, n, size=(60, n))
+    for method in METHODS:
+        together = lambda2_of_resamples(arrays, method, draws)
+        alone = np.array([lambda2_of_resamples(arrays, method, d[None])[0] for d in draws])
+        reversed_order = lambda2_of_resamples(arrays, method, draws[::-1])[::-1]
+        assert np.array_equal(together, alone), method
+        assert np.array_equal(together, reversed_order), method
+
+
+def test_resample_error_names_bank_without_assets():
+    arrays = year_arrays(
+        [bank("aa", "DE"), bank("bb", "FR", assets=0.0), bank("cc", "IT")], warn=False
+    )
+    with pytest.raises(DomainError, match=lei("bb")):
+        lambda2_of_resamples(arrays, "size_weighted", np.array([[0, 2, 2], [0, 1, 2]]))
 
 
 # ---------------------------------------------------------------------------

@@ -137,48 +137,86 @@ def test_exposure_weighted_rejects_zero_portfolio_denominator():
         allocate(recs, "exposure_weighted")
 
 
-def assert_stack_matches_single_draws(arrays, idx):
+def assert_stack_matches_single_draws(arrays, idx, counts):
     for method in METHODS:
-        entries, unallocated = allocate_arrays(arrays, method, idx)
-        k, n = idx.shape
-        assert entries.shape == (k, n, n) and unallocated.shape == (k, n)
-        for d, draw in enumerate(idx):
-            one_entries, one_unallocated = allocate_arrays(arrays, method, draw)
+        entries, unallocated = allocate_arrays(arrays, method, idx, counts)
+        k, m = idx.shape
+        assert entries.shape == (k, m, m) and unallocated.shape == (k, m)
+        for d in range(k):
+            one_entries, one_unallocated = allocate_arrays(arrays, method, idx[d], counts[d])
             assert np.array_equal(entries[d], one_entries), (method, d)
             assert np.array_equal(unallocated[d], one_unallocated), (method, d)
 
 
-def test_stacked_allocation_matches_single_draws():
+def four_banks():
     # aa is the only DE bank, bb and cc share FR, dd is the only IT bank
-    recs = [
+    return [
         bank("aa", "DE", assets=50.0, exposures={"FR": 10.0, "DE": 4.0, "IT": 1.0}),
         bank("bb", "FR", assets=30.0, exposures={"DE": 3.0, "FR": 2.0, "US": 5.0}),
         bank("cc", "FR", assets=20.0, exposures={"IT": 7.0, "FR": 1.5}),
         bank("dd", "IT", assets=80.0, exposures={"DE": 2.0, "FR": 6.0, "IT": 3.0}),
     ]
+
+
+def test_stacked_allocation_matches_single_draws():
+    arrays = year_arrays(four_banks(), warn=False)
     idx = np.array(
         [
-            [0, 1, 2, 3],  # the sample itself
-            [1, 1, 2, 3],  # bb twice, no DE bank drawn
-            [0, 0, 3, 2],  # aa twice, cc alone in FR
-            [3, 1, 0, 0],
+            [1, 2, 3],  # bb twice, no DE bank drawn
+            [0, 2, 3],  # aa twice, cc alone in FR
+            [0, 1, 3],  # aa twice
         ]
     )
-    assert_stack_matches_single_draws(year_arrays(recs, warn=False), idx)
+    counts = np.array([[2, 1, 1], [2, 1, 1], [2, 1, 1]])
+    assert_stack_matches_single_draws(arrays, idx, counts)
+    # the sample itself
+    assert_stack_matches_single_draws(arrays, np.arange(4)[None], np.ones((1, 4)))
 
 
 def test_stacked_allocation_matches_single_draws_at_paper_scale():
     panel = synthesize_panel({2014: DEFAULT_CALIBRATION[2014]}, seed=42)
     arrays = year_arrays(panel.records[2014], warn=False)
-    n = len(arrays.leis)
-    idx = np.random.default_rng(7).integers(0, n, size=(6, n))
-    assert_stack_matches_single_draws(arrays, idx)
+    n, m = len(arrays.leis), 39
+    rng = np.random.default_rng(7)
+    idx = np.stack([np.sort(rng.choice(n, m, replace=False)) for _ in range(6)])
+    counts = 1 + rng.multinomial(n - m, np.full(m, 1.0 / m), size=6)
+    assert_stack_matches_single_draws(arrays, idx, counts)
 
 
 def test_stacked_allocation_names_bank_without_assets():
     arrays = year_arrays(three_banks(assets_b=0.0), warn=False)
     with pytest.raises(DomainError, match=lei("bb")):
-        allocate_arrays(arrays, "size_weighted", np.array([[0, 2, 2], [0, 1, 2]]))
+        allocate_arrays(arrays, "size_weighted", np.array([[0, 2], [1, 2]]), np.array([[1, 2], [2, 1]]))
+
+
+def test_twin_allocation_matches_one_node_per_copy():
+    # a bank drawn c times is c nodes; its row and column stand for every
+    # copy, and its diagonal entry runs between two copies
+    arrays = year_arrays(four_banks(), warn=False)
+    for draw in ([1, 1, 2, 3], [0, 0, 0, 2], [3, 1, 0, 0], [2, 2, 2, 2]):
+        draw = np.array(draw)
+        banks, first, counts = np.unique(draw, return_index=True, return_counts=True)
+        # each bank's last node, another copy wherever it was drawn twice
+        last = len(draw) - 1 - np.unique(draw[::-1], return_index=True)[1]
+        for method in METHODS:
+            full, full_unallocated = allocate_arrays(arrays, method, draw)
+            entries, unallocated = allocate_arrays(arrays, method, banks, counts)
+            expected = full[np.ix_(first, first)]
+            expected[np.diag_indices(len(banks))] = full[first, last]
+            np.testing.assert_allclose(entries, expected, rtol=1e-14, atol=0, err_msg=method)
+            np.testing.assert_allclose(unallocated, full_unallocated[first], rtol=1e-14, atol=0)
+
+
+def test_stats_of_weights_whose_squares_leave_the_float_range():
+    w = np.array([[0.0, 3.0, 1e-300], [3.0, 0.0, 2.0], [1e-300, 2.0, 0.0]])
+    big, small = network_stats(graph_of(w * 1e300)), network_stats(graph_of(w))
+    assert big.sd_weight == pytest.approx(1e300 * small.sd_weight, rel=1e-14)
+    assert big.sd_degree == pytest.approx(1e300 * small.sd_degree, rel=1e-14)
+
+
+def test_build_allocation_has_zero_diagonal():
+    entries, _ = allocate_arrays(year_arrays(four_banks(), warn=False), "equal")
+    assert np.all(np.diag(entries) == 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from oracles import (
     euler_cascade,
     euler_forced,
     min_conductance,
+    resample_lambda2,
+    resample_weights,
     rk4_diffusion,
 )
 
@@ -107,3 +109,13 @@ def test_min_conductance_two_cliques():
     w[2, 3] = w[3, 2] = 0.1
     vol_half = w[:3].sum()
     assert abs(min_conductance(w) - 0.1 / vol_half) < 1e-12
+
+
+def test_resample_of_a_bank_drawn_twice_by_hand():
+    # A (DE) lends 6 to FR, B (FR) lends 2 to DE; with B drawn twice, A
+    # splits its 6 over the two B nodes and each B node lends 2 to A: a
+    # star of two leaves at weight (3 + 2) / 2, eigenvalues 0, 2.5 and 7.5
+    E, home = [[0.0, 6.0], [2.0, 0.0]], [0, 1]
+    w = resample_weights(E, home, [1.0, 1.0], [0.0, 0.0], [0, 1, 1])
+    assert np.array_equal(w, [[0.0, 2.5, 2.5], [2.5, 0.0, 0.0], [2.5, 0.0, 0.0]])
+    assert math.isclose(resample_lambda2(E, home, [1.0, 1.0], [0.0, 0.0], [0, 1, 1]), 2.5, rel_tol=1e-12)

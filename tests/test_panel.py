@@ -97,6 +97,7 @@ def test_duplicate_lei_same_year(tmp_path):
         load_panel(p)
     assert "duplicate" in str(err.value)
     assert the_lei in str(err.value)
+    assert str(err.value).startswith(f"{p}: line 3: ")
 
 
 def test_repeated_exposure_country_is_duplicate(tmp_path):
@@ -109,8 +110,9 @@ def test_repeated_exposure_country_is_duplicate(tmp_path):
             [2014, lei("bb"), "Bank B", "FR", 80.0, 8.0, "DE", 4.0],
         ],
     )
-    with pytest.raises(InputError, match="duplicate"):
+    with pytest.raises(InputError, match="duplicate") as err:
         load_panel(p)
+    assert str(err.value).startswith(f"{p}: line 3: ")
 
 
 def test_negative_exposure_cites_row_and_column(tmp_path):
@@ -125,7 +127,7 @@ def test_negative_exposure_cites_row_and_column(tmp_path):
     with pytest.raises(InputError) as err:
         load_panel(p)
     msg = str(err.value)
-    assert "line 2" in msg
+    assert msg.startswith(f"{p}: line 2: ")
     assert "exposure_amount" in msg
 
 
@@ -138,8 +140,9 @@ def test_bad_lei_rejected(tmp_path):
             [2014, lei("bb"), "Bank B", "FR", 80.0, 8.0, "DE", 4.0],
         ],
     )
-    with pytest.raises(InputError, match="lei"):
+    with pytest.raises(InputError, match="lei") as err:
         load_panel(p)
+    assert str(err.value).startswith(f"{p}: line 2: ")
 
 
 def test_unknown_country_kept_with_warning(tmp_path):
@@ -151,16 +154,18 @@ def test_unknown_country_kept_with_warning(tmp_path):
             [2014, lei("bb"), "Bank B", "FR", 80.0, 8.0, "DE", 4.0],
         ],
     )
-    with pytest.warns(UserWarning, match="XX"):
+    with pytest.warns(UserWarning, match="XX") as caught:
         panel = load_panel(p)
+    assert str(caught[0].message).startswith(f"{p}: line 2: ")
     assert panel.records[2014][0].exposures == {"XX": 10.0}
 
 
 def test_single_bank_year_rejected(tmp_path):
     p = tmp_path / "p.csv"
     write_rows(p, [[2014, lei("aa"), "Bank A", "DE", 120.0, 12.0, "FR", 10.0]])
-    with pytest.raises(InputError, match="2 banks"):
+    with pytest.raises(InputError, match="2 banks") as err:
         load_panel(p)
+    assert str(err.value).startswith(f"{p}: year 2014: ")
 
 
 def test_conflicting_bank_fields_rejected(tmp_path):
@@ -173,8 +178,55 @@ def test_conflicting_bank_fields_rejected(tmp_path):
             [2014, lei("bb"), "Bank B", "FR", 80.0, 8.0, "DE", 4.0],
         ],
     )
-    with pytest.raises(InputError, match=lei("aa")):
+    with pytest.raises(InputError, match=lei("aa")) as err:
         load_panel(p)
+    assert str(err.value).startswith(f"{p}: line 3: ")
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        (["2014", lei("aa")], "expected 8 fields, got 2"),
+        (["20x4", lei("aa"), "Bank A", "DE", "1", "1", "FR", "1"], "column year: not an integer"),
+        (["2014", lei("aa"), "Bank A", "DE", "lots", "1", "FR", "1"], "column total_assets: not a number"),
+        (["2014", lei("aa"), "Bank A", "DE", "1", "inf", "FR", "1"], "column capital: non-finite"),
+    ],
+)
+def test_row_errors_name_file_and_line(tmp_path, cells, message):
+    p = tmp_path / "p.csv"
+    write_rows(p, [cells, [2014, lei("bb"), "Bank B", "FR", 80.0, 8.0, "DE", 4.0]])
+    with pytest.raises(InputError, match=message) as err:
+        load_panel(p)
+    assert str(err.value).startswith(f"{p}: line 2: ")
+
+
+def test_exposure_total_beyond_float_range_rejected(tmp_path):
+    p = tmp_path / "p.csv"
+    write_rows(
+        p,
+        [
+            [2014, lei("aa"), "Bank A", "DE", 120.0, 12.0, "FR", 1.7e308],
+            [2014, lei("bb"), "Bank B", "FR", 80.0, 8.0, "IT", 1.7e308],
+            [2014, lei("cc"), "Bank C", "IT", 80.0, 8.0, "DE", 1.7e308],
+            [2016, lei("aa"), "Bank A", "DE", 120.0, 12.0, "FR", 1.7e308],
+        ],
+    )
+    with pytest.raises(InputError, match="year 2014: exposure amounts sum beyond the float range") as err:
+        load_panel(p)
+    assert str(err.value).startswith(f"{p}: line 3: ")
+
+
+def test_exposure_totals_are_per_year(tmp_path):
+    p = tmp_path / "p.csv"
+    write_rows(
+        p,
+        [
+            [year, lei(tag), f"Bank {tag}", country, 120.0, 12.0, exp_country, amount]
+            for year in (2014, 2016)
+            for tag, country, exp_country, amount in (("aa", "DE", "FR", 1.7e308), ("bb", "FR", "DE", 1.0))
+        ],
+    )
+    assert load_panel(p).years == [2014, 2016]
 
 
 def test_manifest_mismatch_detected(tmp_path):

@@ -18,6 +18,7 @@ from fragnet.spectral import (
     lambda2,
     lambda2_batch,
     lambda2_cut_bounds,
+    lambda2_quotient,
     mixing_time,
     quadratic_form,
     spectral_centralities,
@@ -90,6 +91,24 @@ def test_lambda2_batch_matches_single_solves(rng):
     assert list(got) == [lambda2(w) for w in stack]
     assert got[-1] == 0.0
     assert np.all(got[:-1] > 0.0)
+
+
+def test_quotient_kernel_with_single_copies_is_the_batch_kernel(rng):
+    stack = np.stack([random_connected(rng, 4).weights for _ in range(3)] + [two_components().weights])
+    laplacians = np.stack([np.diag(w.sum(axis=1)) - w for w in stack])
+    once = np.ones(stack.shape[:2])
+    assert np.array_equal(lambda2_quotient(laplacians, np.zeros(once.shape), once), lambda2_batch(stack))
+
+
+def test_quotient_kernel_takes_twin_values():
+    # three copies of one bank pairwise at weight 2: the complete graph K3,
+    # spectrum {0, 6, 6}; the quotient is [[0]] and 6 the twin value
+    assert lambda2_quotient(np.zeros((1, 1, 1)), np.array([[6.0]]), np.array([[3.0]]))[0] == 6.0
+    # a twin value below the quotient's lambda2 is lambda2, and one above
+    # the quotient's largest eigenvalue is lambda_n for the disconnect rule
+    s = np.array([[[1.0, -1.0], [-1.0, 1.0]]])
+    assert lambda2_quotient(s, np.array([[0.5, 9.0]]), np.array([[2.0, 1.0]]))[0] == 0.5
+    assert lambda2_quotient(s, np.array([[0.5, 1e9]]), np.array([[1.0, 2.0]]))[0] == 0.0
 
 
 def trial_lambda2(w, rows, cols, cuts):
