@@ -39,10 +39,12 @@ from .network import (
 from .panel import (
     _cell,
     _fmt,
+    csv_quote,
     load_calibration,
     load_panel,
     synthesize_panel,
     write_csv,
+    write_csv_text,
     write_json,
     write_panel,
 )
@@ -93,7 +95,7 @@ def cmd_build(args) -> int:
     out = _out_dir(args)
     stats_rows = []
     for year in panel.years:
-        directed = allocate(panel.records[year], args.method)
+        directed = allocate(panel.records[year], args.method, year)
         graph = symmetrize(directed, year)
         report = validate_conservation(graph, directed, panel.records[year])
         if not report.ok:
@@ -161,7 +163,7 @@ def cmd_analyze(args) -> int:
     frag_rows = []
     centrality_rows = []
     for year in panel.years:
-        graph = symmetrize(allocate(panel.records[year], args.method), year)
+        graph = symmetrize(allocate(panel.records[year], args.method, year), year)
         m = fragility_metrics(graph)
         tau = mixing_time(m.lambda2, args.epsilon) if m.lambda2 > 0 else math.inf
         if not m.connected:
@@ -252,7 +254,7 @@ def cmd_did(args) -> int:
         for year in pre + post:
             if year not in panel.records:
                 raise InputError(f"panel lacks year {year}")
-            graph = symmetrize(allocate(panel.records[year], args.method), year)
+            graph = symmetrize(allocate(panel.records[year], args.method, year), year)
             values[year] = lambda2(graph.weights)
     else:
         raise InputError("did needs --input or --series")
@@ -322,11 +324,17 @@ def cmd_stress(args) -> int:
     forcing, capitals, horizon, dt = load_scenario(args.scenario, graph)
     result = cascade_stress_test(graph, capitals, forcing, horizon, dt)
     out = _out_dir(args)
-    # one snapshot per window end: the live banks' distress in network order
-    history = [
-        {"time": t, "distress": {b: v for b, v in zip(graph.banks, row.tolist()) if not math.isnan(v)}}
-        for t, row in zip(result.times.tolist(), result.distress)
-    ]
+    # one snapshot per window end: the live banks' distress in network
+    # order, sliced once per run of windows that share their live banks
+    runs = result.live_runs()
+    history = []
+    for a, b, cols in runs:
+        banks = [graph.banks[c] for c in cols]
+        rows = result.distress[a:b, cols].tolist()
+        history.extend(
+            {"time": t, "distress": dict(zip(banks, row))}
+            for t, row in zip(result.times[a:b].tolist(), rows)
+        )
     fields = [
         "total_failures", "rounds", "pre_lambda2", "post_lambda2",
         "fragility_change", "stabilization_time",
@@ -338,11 +346,15 @@ def cmd_stress(args) -> int:
     write_csv(out / "cascade_summary.csv", fields, [[_cell(getattr(result, key)) for key in fields]])
 
     def trajectory():
-        for snap in history:
-            t = _fmt(snap["time"])
-            yield from ([t, bank, _fmt(v)] for bank, v in snap["distress"].items())
+        # one chunk of text per window; each bank id is quoted once
+        quoted = [csv_quote(bank) for bank in graph.banks]
+        for a, b, cols in runs:
+            banks = [quoted[c] for c in cols]
+            for snap in history[a:b]:
+                t = _fmt(snap["time"])
+                yield "".join([f"{t},{bank},{v:.17g}\n" for bank, v in zip(banks, snap["distress"].values())])
 
-    write_csv(out / "trajectory.csv", ["time", "bank", "distress"], trajectory())
+    write_csv_text(out / "trajectory.csv", ["time", "bank", "distress"], trajectory())
     return 0
 
 

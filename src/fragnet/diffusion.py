@@ -72,37 +72,57 @@ class CascadeResult:
     times: np.ndarray
     distress: np.ndarray
 
+    def live_runs(self) -> list[tuple[int, int, np.ndarray]]:
+        """(start, stop, banks) for each run of windows with one live set:
+        the banks, in network order, recorded in windows start to stop - 1.
+        The live set changes only at failure rounds."""
+        live = ~np.isnan(self.distress)
+        cuts = np.flatnonzero((live[1:] != live[:-1]).any(axis=1)) + 1
+        bounds = [0, *cuts.tolist(), len(live)]
+        return [(a, b, np.flatnonzero(live[a])) for a, b in zip(bounds, bounds[1:])]
 
-def _propagate(
-    lam: np.ndarray, v: np.ndarray, x: np.ndarray, f: np.ndarray | None, dt: float
-) -> np.ndarray:
-    """Advance the closed-form solution by dt in the eigenbasis (lam, v).
+
+class _Stepper:
+    """Closed-form steps of dx/dt = -L x (+ f) in one eigenbasis (lam, v).
 
     Zero modes keep their state and accumulate their forcing component
-    linearly; every other mode decays at its own rate.
+    linearly; every other mode decays at its own rate. The forcing's modal
+    components are taken once, and the decay and gain factors once per
+    distinct step length, so a step costs two matrix-vector products.
     """
-    y = v.T @ x
-    decay = np.exp(-lam * dt)
-    out = y * decay
-    if f is not None:
-        fhat = v.T @ f
-        tol = DISCONNECT_TOL * max(lam[-1], 1.0)
-        gain = np.where(lam > tol, -np.expm1(-lam * dt) / np.where(lam > tol, lam, 1.0), dt)
-        out = out + fhat * gain
-    return v @ out
 
+    def __init__(self, lam: np.ndarray, v: np.ndarray, f: np.ndarray | None = None):
+        self.lam = lam
+        self.v = v
+        self.vt = v.T
+        self.fhat = None if f is None else self.vt @ f
+        self.tol = DISCONNECT_TOL * max(lam[-1], 1.0)
+        # exact step length -> (decay, gain); a cascade's window ends are
+        # rounded multiples of dt, so only a few lengths recur
+        self.factors: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
-def _advance(
-    lam: np.ndarray, v: np.ndarray, x: np.ndarray, f: np.ndarray, onset: float, t0: float, t1: float
-) -> np.ndarray:
-    """State at t1 from x at t0: homogeneous until the onset, forced by f
-    from the onset on."""
-    free_until = min(max(onset, t0), t1)
-    if free_until > t0:
-        x = _propagate(lam, v, x, None, free_until - t0)
-    if t1 > free_until:
-        x = _propagate(lam, v, x, f, t1 - free_until)
-    return x
+    def step(self, x: np.ndarray, dt: float, forced: bool) -> np.ndarray:
+        """State after dt from x, forced by f if asked."""
+        factors = self.factors.get(dt)
+        if factors is None:
+            lam, tol = self.lam, self.tol
+            decay = np.exp(-lam * dt)
+            gain = np.where(lam > tol, -np.expm1(-lam * dt) / np.where(lam > tol, lam, 1.0), dt)
+            factors = self.factors[dt] = (decay, gain)
+        out = (self.vt @ x) * factors[0]
+        if forced:
+            out = out + self.fhat * factors[1]
+        return self.v @ out
+
+    def advance(self, x: np.ndarray, onset: float, t0: float, t1: float) -> np.ndarray:
+        """State at t1 from x at t0: homogeneous until the onset, forced by f
+        from the onset on."""
+        free_until = min(max(onset, t0), t1)
+        if free_until > t0:
+            x = self.step(x, free_until - t0, False)
+        if t1 > free_until:
+            x = self.step(x, t1 - free_until, True)
+        return x
 
 
 def evolve(graph: WeightedGraph, x0: DistressState, t: float) -> DistressState:
@@ -117,7 +137,7 @@ def evolve(graph: WeightedGraph, x0: DistressState, t: float) -> DistressState:
     x = np.asarray(x0.values, dtype=float)
     if x.shape != (graph.n,):
         raise DomainError(f"state length {x.shape} does not match {graph.n} banks")
-    values = _propagate(*eigenbasis(graph.weights), x, None, t)
+    values = _Stepper(*eigenbasis(graph.weights)).step(x, t, False)
     return DistressState(values, x0.time + t)
 
 
@@ -137,9 +157,9 @@ def evolve_forced(
     if t < x0.time:
         raise DomainError(f"target time {t} precedes state time {x0.time}")
     forcing.validate(graph.n)
-    lam, vec = eigenbasis(graph.weights)
     f = np.asarray(forcing.vector, dtype=float)
-    return DistressState(_advance(lam, vec, x, f, forcing.onset, x0.time, t), t)
+    stepper = _Stepper(*eigenbasis(graph.weights), f)
+    return DistressState(stepper.advance(x, forcing.onset, x0.time, t), t)
 
 
 def ate_trajectory(ate_infinity: float, lambda2: float, t_grid) -> list[float]:
@@ -209,27 +229,33 @@ def cascade_stress_test(
     times = np.zeros(n_windows + 1)
     distress = np.full((n_windows + 1, graph.n), np.nan)
     distress[0] = 0.0
-    for k in range(1, n_windows + 1):
-        times[k] = min(k * dt, horizon)
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = _advance(lam, vec, x, f_full[live], shock.onset, times[k - 1], times[k])
-        if not np.isfinite(x).all():
-            raise DomainError(f"window {k}: distress is no longer finite (float overflow)")
-        distress[k, live] = x
+    live_cap = cap
+    # an overflowing window is caught by the finiteness check below, so
+    # NumPy's own warnings stay silent
+    with np.errstate(over="ignore", invalid="ignore"):
+        stepper = _Stepper(lam, vec, f_full)
+        for k in range(1, n_windows + 1):
+            times[k] = min(k * dt, horizon)
+            x = stepper.advance(x, shock.onset, times[k - 1], times[k])
+            if not np.isfinite(x).all():
+                raise DomainError(f"window {k}: distress is no longer finite (float overflow)")
+            distress[k, live] = x
 
-        hit = x >= cap[live]
-        if hit.any():
-            rounds += 1
-            last_failure_time = float(times[k])
-            for i in np.flatnonzero(hit):
-                bank = graph.banks[live[i]]
-                failed.append((k, bank))
-                losses[bank] = float(x[i])
-            live, x = live[~hit], x[~hit]
-            if not live.size:
-                times, distress = times[: k + 1], distress[: k + 1]
-                break
-            lam, vec = eigenbasis(graph.weights[np.ix_(live, live)])
+            hit = x >= live_cap
+            if hit.any():
+                rounds += 1
+                last_failure_time = float(times[k])
+                for i in np.flatnonzero(hit):
+                    bank = graph.banks[live[i]]
+                    failed.append((k, bank))
+                    losses[bank] = float(x[i])
+                live, x = live[~hit], x[~hit]
+                if not live.size:
+                    times, distress = times[: k + 1], distress[: k + 1]
+                    break
+                live_cap = cap[live]
+                lam, vec = eigenbasis(graph.weights[np.ix_(live, live)])
+                stepper = _Stepper(lam, vec, f_full[live])
 
     # lam holds the survivors' eigenvalues whenever any bank survives
     post_lambda2 = float(_lambda2_of(lam)) if len(live) >= 2 else 0.0

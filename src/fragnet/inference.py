@@ -104,6 +104,15 @@ def _finite(est: DidEstimate) -> DidEstimate:
     return est
 
 
+def _pct(beta: float, base: float) -> float | None:
+    """100 beta / base, None at a zero base. The product is taken first;
+    only where it leaves the float range is the ratio taken first."""
+    if base == 0:
+        return None
+    pct = 100.0 * beta / base
+    return pct if math.isfinite(pct) else 100.0 * (beta / base)
+
+
 def did_level(series: FragilitySeries) -> DidEstimate:
     """Effects relative to the pre-period mean.
 
@@ -116,8 +125,7 @@ def did_level(series: FragilitySeries) -> DidEstimate:
     effects = {}
     for y in series.post_years:
         beta = series.value(y) - alpha
-        pct = 100.0 * beta / alpha if alpha != 0 else None
-        effects[y] = EffectRow(beta, pct)
+        effects[y] = EffectRow(beta, _pct(beta, alpha))
     return _finite(DidEstimate("level", alpha, effects))
 
 
@@ -162,8 +170,7 @@ def did_detrended(series: FragilitySeries) -> DidEstimate:
     for y in series.post_years:
         cf = trend["gamma0"] + trend["gamma1"] * y
         beta = series.value(y) - cf
-        pct = 100.0 * beta / cf if cf != 0 else None
-        effects[y] = EffectRow(beta, pct)
+        effects[y] = EffectRow(beta, _pct(beta, cf))
         counterfactuals[y] = cf
     return _finite(DidEstimate("detrended", alpha, effects, trend=trend, counterfactuals=counterfactuals))
 
@@ -373,7 +380,7 @@ def bootstrap_did(
     if missing:
         raise InputError(f"panel lacks configured years: {missing}")
 
-    arrays = {y: year_arrays(panel.records[y], warn=False) for y in all_years}
+    arrays = {y: year_arrays(panel.records[y], warn=False, year=y) for y in all_years}
     sizes = {y: len(arrays[y].leis) for y in all_years}
     master = int(seed) % (1 << 64)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,6 +40,8 @@ class YearArrays:
     assets: np.ndarray
     portfolios: np.ndarray
     external_dropped: np.ndarray
+    # panel year, named in allocation errors when known
+    year: int | None = None
 
 
 @dataclass
@@ -105,7 +108,7 @@ class ValidationReport:
     failures: list[str]
 
 
-def year_arrays(records: list[BankRecord], warn: bool = True) -> YearArrays:
+def year_arrays(records: list[BankRecord], warn: bool = True, year: int | None = None) -> YearArrays:
     """Flatten one year's records into aligned numpy arrays."""
     if len(records) < 2:
         raise DomainError("a network needs at least 2 banks")
@@ -134,7 +137,7 @@ def year_arrays(records: list[BankRecord], warn: bool = True) -> YearArrays:
         )
     assets = np.array([r.total_assets for r in records], dtype=float)
     portfolios = E.sum(axis=1) + external
-    return YearArrays(leis, countries, home, E, assets, portfolios, external)
+    return YearArrays(leis, countries, home, E, assets, portfolios, external, year)
 
 
 def _allocation_basis(arrays: YearArrays, method: str, idx: np.ndarray) -> np.ndarray:
@@ -214,7 +217,16 @@ def allocate_arrays(
     draw = np.arange(k)[:, None]
     cell = (home + m * draw).ravel()
     count = np.bincount(cell, weights=counts.ravel(), minlength=k * m).reshape(k, m)
-    mass = np.bincount(cell, weights=(counts * basis).ravel(), minlength=k * m).reshape(k, m)
+    with np.errstate(over="ignore"):
+        mass = np.bincount(cell, weights=(counts * basis).ravel(), minlength=k * m).reshape(k, m)
+    # a denominator is a country's mass less at most one bank's weight, so
+    # it leaves the float range exactly where the mass does
+    if not np.isfinite(mass).all():
+        country = arrays.countries[int(np.nonzero(~np.isfinite(mass))[1][0])]
+        year = "" if arrays.year is None else f"year {arrays.year}: "
+        raise DomainError(
+            f"{year}{method} allocation: the weights of country {country}'s banks sum beyond the float range"
+        )
     rows = np.arange(n)[None, :]
     eligible = np.repeat(count[:, None, :], n, axis=1)
     eligible[draw, rows, home] -= 1.0
@@ -240,14 +252,17 @@ def allocate_arrays(
     return entries, unallocated
 
 
-def allocate(records: list[BankRecord], method: str = "equal") -> DirectedExposureMatrix:
+def allocate(
+    records: list[BankRecord], method: str = "equal", year: int | None = None
+) -> DirectedExposureMatrix:
     """Build the directed exposure estimate for one panel year.
 
     Each bank's exposure to a country is split across that country's sample
     banks: equally, by asset share, or by portfolio share. The allocating
-    bank is never its own counterparty.
+    bank is never its own counterparty. The year, when given, is named in
+    errors.
     """
-    arrays = year_arrays(records)
+    arrays = year_arrays(records, year=year)
     entries, unallocated = allocate_arrays(arrays, method)
     own = unallocated - arrays.external_dropped
     if np.any(own > 0):
@@ -271,7 +286,7 @@ def symmetrize(directed: DirectedExposureMatrix, year: int = 0) -> WeightedGraph
 def build_graph(panel: ExposurePanel, year: int, method: str = "equal") -> WeightedGraph:
     if year not in panel.records:
         raise InputError(f"panel has no year {year}")
-    return symmetrize(allocate(panel.records[year], method), year)
+    return symmetrize(allocate(panel.records[year], method, year), year)
 
 
 def validate_conservation(
@@ -283,8 +298,8 @@ def validate_conservation(
     """Check total and per-bank exposure conservation of a built network.
 
     (a) element sum of the symmetric matrix equals that of the directed one;
-    (b) each directed row sum equals the bank's reported exposure total minus
-    what was dropped for lack of an eligible counterparty.
+    (b) each directed row sum equals the bank's exposure to countries with
+    an eligible counterparty: a sample bank other than itself.
     """
     if graph.banks != directed.banks or [r.lei for r in records] != list(directed.banks):
         raise InputError("bank lists of graph, directed matrix and records differ")
@@ -297,9 +312,15 @@ def validate_conservation(
             f"total-weight discrepancy of {total_graph - total_directed:g} "
             f"(graph {total_graph:g} vs directed {total_directed:g})"
         )
+    banks_in = Counter(rec.country for rec in records)
     row_sums = directed.entries.sum(axis=1)
     for i, rec in enumerate(records):
-        expected = rec.total_exposure() - directed.unallocated[i]
+        # countries with a sample bank other than this one
+        eligible = banks_in.keys() if banks_in[rec.country] > 1 else banks_in.keys() - {rec.country}
+        placed = rec.exposures
+        if not placed.keys() <= eligible:
+            placed = {code: a for code, a in placed.items() if code in eligible}
+        expected = float(sum(placed.values()))
         if abs(row_sums[i] - expected) > rel_tol * max(abs(expected), 1.0):
             failures.append(
                 f"bank {rec.lei}: allocated {float(row_sums[i]):g}, expected {expected:g}"

@@ -13,6 +13,7 @@ lists the years and expected bank counts; when present it is checked on load.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import warnings
@@ -79,13 +80,32 @@ def write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+def csv_quote(text: str) -> str:
+    """One CSV cell as `write_csv` writes it: quoted, quotes doubled, where
+    the csv module would quote it (a comma, a double quote, a newline)."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
+def write_csv_text(path: Path, header: list[str], chunks) -> None:
+    """`write_csv` for rows the caller has already joined: the header, then
+    each chunk of text as it comes. Chunks end their rows in LF and quote
+    their text cells with `csv_quote`."""
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        fh.writelines(chunks)
+
+
 def write_json(path: Path, doc, indent: int | None = None) -> None:
     """Write a UTF-8 JSON document with sorted keys, LF line endings and a
     final newline. NaN and infinities raise ValueError: RFC 8259 JSON has no
     value for them."""
     text = json.dumps(doc, indent=indent, sort_keys=True, allow_nan=False)
     with path.open("w", newline="\n", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        # two writes: a concatenation would copy a multi-MB document once more
+        fh.write(text)
+        fh.write("\n")
 
 
 @contextmanager

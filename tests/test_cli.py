@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -9,11 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import graph_of, strict_json
+from conftest import bank, graph_of, strict_json
 from fragnet.cli import main
 from fragnet.diffusion import ForcingSpec, cascade_stress_test
 from fragnet.network import build_graph, graph_from_edge_csv, graph_to_edge_csv
-from fragnet.panel import load_panel
+from fragnet.panel import ExposurePanel, load_panel, write_panel
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -242,10 +243,13 @@ def test_did_zero_baseline_leaves_pct_change_undefined(tmp_path):
     [
         # the pre-period trend extrapolates beyond the float range
         ({2014: "1e306"}, "detrended"),
-        # 100 * beta overflows before the division by the baseline
-        ({2014: "1e308"}, "level"),
+        # the percent change itself is beyond the float range
+        ({2014: "3e-300", 2021: "1e10"}, "level"),
         # the baseline mean overflows
         ({2014: "1.7e308", 2016: "1.7e308", 2018: "1.7e308"}, "level"),
+        # the level percent changes are -100 (100 * beta overflows, the ratio
+        # does not), but the trend's intercept at year 0 is about 5e310
+        ({2014: "1e308"}, "detrended"),
     ],
 )
 def test_did_estimates_beyond_the_float_range_are_domain_errors(tmp_path, capsys, values, estimator):
@@ -258,6 +262,46 @@ def test_did_estimates_beyond_the_float_range_are_domain_errors(tmp_path, capsys
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {estimator} estimator: ") and err.count("\n") == 1, err
+
+
+def write_bank_panel(path, records):
+    """A panel holding the same bank records in each of the five default years."""
+    years = [2014, 2016, 2018, 2021, 2023]
+    write_panel(ExposurePanel(years, {y: records for y in years}), path)
+    return path
+
+
+def test_build_conserves_exposure_beside_a_large_dropped_one(tmp_path):
+    # the DE bank's own-country exposure has no counterparty and is dropped;
+    # it is 1e17 times the exposure that is allocated
+    panel = write_bank_panel(tmp_path / "panel.csv", [
+        bank("aa", "DE", exposures={"DE": 1e17, "FR": 1.0}),
+        bank("bb", "FR", exposures={"DE": 2.0}),
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["build", "--input", str(panel), "--out", str(tmp_path / "o")]) == 0
+    stats = read_csv(tmp_path / "o" / "network_stats.csv")
+    assert [r["total_weight"] for r in stats] == ["1.5"] * 5
+
+
+def test_size_weighted_country_assets_beyond_the_float_range(tmp_path, capsys):
+    panel = write_bank_panel(tmp_path / "panel.csv", [
+        bank("aa", "DE", exposures={"FR": 5.0}),
+        bank("bb", "FR", assets=1e308, exposures={"DE": 1.0}),
+        bank("cc", "FR", assets=1e308, exposures={"DE": 1.0}),
+    ])
+    for command in ("build", "did"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([command, "--input", str(panel), "--out", str(tmp_path / command), "--method", "size"])
+        assert rc == 1, command
+        err = capsys.readouterr().err
+        assert err == (
+            "error: year 2014: size_weighted allocation: the weights of country FR's "
+            "banks sum beyond the float range\n"
+        ), command
+    assert main(["build", "--input", str(panel), "--out", str(tmp_path / "equal")]) == 0
 
 
 def test_unknown_method_rejected_by_parser(tmp_path):
@@ -510,6 +554,41 @@ def test_stress_cascade_json_matches_library_result(tmp_path):
     assert trajectory == [
         (snap["time"], b, v) for snap in doc["history"] for b, v in snap["distress"].items()
     ]
+
+
+def test_stress_trajectory_quotes_bank_ids_as_the_csv_module_does(tmp_path):
+    banks = ["A,1", 'B "q"', "Zürich €", "line\nbreak", "cr\rx", " lead", ""]
+    rng = np.random.default_rng(3)
+    w = rng.uniform(0.5, 2.0, (7, 7))
+    w = (w + w.T) / 2.0
+    np.fill_diagonal(w, 0.0)
+    edges = tmp_path / "edges.csv"
+    # every cell quoted: the writer leaves a carriage return bare, which a
+    # reader takes for a line break
+    with edges.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, quoting=csv.QUOTE_ALL)
+        writer.writerow(["year", "bank_i", "bank_j", "weight"])
+        writer.writerows([2014, banks[i], banks[j], repr(float(w[i, j]))] for i in range(7) for j in range(i + 1, 7))
+    shock = {banks[0]: 9.0, banks[2]: 4.0}
+    caps = dict(zip(banks, [1.0, 3.0, 1.0, 3.0, 3.0, 3.0, 3.0]))
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(
+        json.dumps({"shock": shock, "onset": 0.05, "horizon": 1.0, "dt": 0.07, "capitals": caps}),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["stress", "--input", str(edges), "--scenario", str(scenario), "--out", str(out)]) == 0
+
+    read = graph_from_edge_csv(edges)
+    assert read.banks == banks
+    res = cascade_stress_test(read, caps, ForcingSpec(np.array([shock.get(b, 0.0) for b in banks]), 0.05), 1.0, 0.07)
+    assert res.rounds >= 2
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["time", "bank", "distress"])
+    for t, row in zip(res.times, res.distress):
+        writer.writerows([format(t, ".17g"), b, format(v, ".17g")] for b, v in zip(banks, row) if not np.isnan(v))
+    assert (out / "trajectory.csv").read_bytes() == expected.getvalue().encode("utf-8")
 
 
 def test_stress_rejects_distress_beyond_the_float_range(tmp_path, capsys):

@@ -26,7 +26,7 @@ from fragnet.cli import DEFAULT_CALIBRATION
 from fragnet.errors import DomainError, GreedyStalled, InputError
 from fragnet.network import allocate, build_graph, symmetrize
 from fragnet.panel import synthesize_panel
-from fragnet.spectral import eigenbasis, lambda2, mixing_time, stack_members
+from fragnet.spectral import DISCONNECT_TOL, eigenbasis, lambda2, mixing_time, stack_members
 
 
 def abcd_graph(w=1.0):
@@ -339,6 +339,90 @@ def test_cascade_record_ends_when_every_bank_has_failed():
     assert res.distress.shape == (5, 4)
     assert res.times[-1] == res.stabilization_time == pytest.approx(0.8)
     assert np.isfinite(res.distress[4, 1:]).all() and np.isnan(res.distress[2:, 0]).all()
+
+
+def per_window_cascade(g, capitals, shock, horizon, dt):
+    """The cascade evaluated window by window from scratch: every window
+    takes a fresh eigenbasis of the live banks, projects the forcing and
+    forms its decay and gain factors itself."""
+
+    def propagate(lam, v, x, f, h):
+        out = (v.T @ x) * np.exp(-lam * h)
+        if f is not None:
+            tol = DISCONNECT_TOL * max(lam[-1], 1.0)
+            gain = np.where(lam > tol, -np.expm1(-lam * h) / np.where(lam > tol, lam, 1.0), h)
+            out = out + (v.T @ f) * gain
+        return v @ out
+
+    cap = np.array([capitals[b] for b in g.banks])
+    live, x = np.arange(g.n), np.zeros(g.n)
+    times, rows, failed, losses = [0.0], [np.zeros(g.n)], [], {}
+    for k in range(1, math.ceil(horizon / dt - 1e-12) + 1):
+        t0, t1 = times[-1], min(k * dt, horizon)
+        lam, v = eigenbasis(g.weights[np.ix_(live, live)])
+        free_until = min(max(shock.onset, t0), t1)
+        if free_until > t0:
+            x = propagate(lam, v, x, None, free_until - t0)
+        if t1 > free_until:
+            x = propagate(lam, v, x, shock.vector[live], t1 - free_until)
+        row = np.full(g.n, np.nan)
+        row[live] = x
+        times.append(t1)
+        rows.append(row)
+        hit = x >= cap[live]
+        for i in np.flatnonzero(hit):
+            failed.append((k, g.banks[live[i]]))
+            losses[g.banks[live[i]]] = float(x[i])
+        live, x = live[~hit], x[~hit]
+        if not live.size:
+            break
+    return np.array(times), np.array(rows), failed, losses
+
+
+def random_cascade_case():
+    rng = np.random.default_rng(7)
+    g = random_connected(rng, 10)
+    caps = dict(zip(g.banks, rng.uniform(0.5, 3.0, 10)))
+    vector = np.where(rng.random(10) < 0.4, rng.uniform(5.0, 20.0, 10), 0.0)
+    # 0.013 does not divide the horizon: 77 windows, the last one clipped,
+    # and window ends k * dt whose differences vary in their last bits
+    return g, caps, ForcingSpec(vector, onset=0.137), 1.0, 0.013
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        # onset inside window 2, two failure rounds
+        lambda: (ring_graph(), {"A": 1.0, "B": 1.6, "C": 6.0, "D": 6.0},
+                 ForcingSpec(np.array([12.0, 3.0, 0, 0]), onset=0.3), 2.0, 0.2),
+        # the last window is clipped at the horizon
+        lambda: (ring_graph(), {"A": 1.0, "B": 1.6, "C": 6.0, "D": 6.0},
+                 ForcingSpec(np.array([12.0, 3.0, 0, 0]), onset=0.1), 1.9, 0.25),
+        # every bank has failed by window 4, so the record stops there
+        lambda: (abcd_graph(), {"A": 1.0, "B": 2.0, "C": 2.0, "D": 2.0},
+                 ForcingSpec(np.array([12.0, 3.0, 3.0, 3.0])), 2.0, 0.2),
+        random_cascade_case,
+    ],
+    ids=["onset-in-window", "clipped-last-window", "all-fail", "random-10-banks"],
+)
+def test_cascade_equals_per_window_evaluation(case):
+    g, caps, shock, horizon, dt = case()
+    res = cascade_stress_test(g, caps, shock, horizon, dt)
+    times, distress, failed, losses = per_window_cascade(g, caps, shock, horizon, dt)
+    assert res.rounds >= 1
+    assert np.array_equal(res.times, times)
+    assert np.array_equal(res.distress, distress, equal_nan=True)
+    assert res.failed == failed
+    assert res.losses == losses
+
+
+def test_cascade_live_runs_split_the_record_at_failure_rounds():
+    g = ring_graph()
+    caps = {"A": 1.0, "B": 1.6, "C": 6.0, "D": 6.0}
+    res = cascade_stress_test(g, caps, ForcingSpec(np.array([12.0, 3.0, 0, 0]), 0.3), 2.0, 0.2)
+    runs = [(a, b, cols.tolist()) for a, b, cols in res.live_runs()]
+    # A fails in window 3 and B in window 6, each recorded in its last window
+    assert runs == [(0, 4, [0, 1, 2, 3]), (4, 7, [1, 2, 3]), (7, 11, [2, 3])]
 
 
 def test_cascade_rejects_distress_beyond_the_float_range():

@@ -92,6 +92,13 @@ def test_level_is_exact_mean_difference():
     assert est.effects[2002].pct_change == pytest.approx(200.0)
 
 
+def test_level_pct_change_survives_a_product_beyond_the_float_range():
+    # 100 * beta overflows; the ratio -1 does not
+    series = make_series({2014: 1e308, 2016: 0.0, 2018: 0.0, 2021: 0.0, 2023: 0.0}, PRE, POST)
+    est = did_level(series)
+    assert [est.effects[y].pct_change for y in POST] == [-100.0, -100.0]
+
+
 # ---------------------------------------------------------------------------
 # trend fit
 

@@ -189,6 +189,19 @@ def test_stacked_allocation_names_bank_without_assets():
         allocate_arrays(arrays, "size_weighted", np.array([[0, 2], [1, 2]]), np.array([[1, 2], [2, 1]]))
 
 
+def test_allocation_weights_beyond_the_float_range_name_year_and_country():
+    recs = three_banks(assets_b=1e308, assets_c=1e308)
+    with pytest.raises(DomainError, match="^year 2016: size_weighted allocation: .* country FR's banks"):
+        allocate(recs, "size_weighted", 2016)
+    # a resample that draws one bank twice overflows where the year does not
+    arrays = year_arrays(three_banks(assets_b=1e308, assets_c=1e307), warn=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        allocate_arrays(arrays, "size_weighted")
+        with pytest.raises(DomainError, match="country FR's banks sum beyond the float range"):
+            allocate_arrays(arrays, "size_weighted", np.array([[0, 1], [0, 2]]), np.array([[1, 2], [1, 2]]))
+
+
 def test_twin_allocation_matches_one_node_per_copy():
     # a bank drawn c times is c nodes; its row and column stand for every
     # copy, and its diagonal entry runs between two copies
@@ -285,6 +298,21 @@ def test_sole_bank_fixture_passes_with_adjusted_expectation():
         d = allocate(recs, "equal")
     report = validate_conservation(symmetrize(d, 2014), d, recs)
     assert report.ok
+
+
+def test_conservation_beside_a_dropped_exposure_that_dwarfs_the_allocated():
+    # a total of 1e17 + 1 less the 1e17 dropped would cancel to 0
+    recs = [
+        bank("aa", "DE", exposures={"DE": 1e17, "FR": 1.0}),
+        bank("bb", "FR", exposures={"DE": 2.0}),
+    ]
+    with pytest.warns(UserWarning, match="own-country exposure dropped"):
+        d = allocate(recs, "equal")
+    report = validate_conservation(symmetrize(d, 2014), d, recs)
+    assert report.ok, report.failures
+    d.entries[0, 1] = 0.5
+    report = validate_conservation(symmetrize(d, 2014), d, recs)
+    assert any(f.endswith("allocated 0.5, expected 1") for f in report.failures), report.failures
 
 
 def test_mismatched_bank_lists_rejected():

@@ -13,9 +13,11 @@ from fragnet.panel import (
     BankRecord,
     ExposurePanel,
     _cell,
+    csv_quote,
     load_panel,
     synthesize_panel,
     write_csv,
+    write_csv_text,
     write_json,
     write_panel,
 )
@@ -267,6 +269,16 @@ def test_write_csv_streams_rows_with_lf_endings(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, ["a", "b"], ([k, f"x,{k}"] for k in range(2)))
     assert path.read_bytes() == b'a,b\n0,"x,0"\n1,"x,1"\n'
+
+
+def test_csv_quote_matches_the_writer(tmp_path):
+    texts = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\r", " lead", "", "Zürich €"]
+    path = tmp_path / "t.csv"
+    write_csv(path, ["x", "y"], [[t, "1"] for t in texts])
+    written = path.read_bytes()
+    assert written == ("x,y\n" + "".join(f"{csv_quote(t)},1\n" for t in texts)).encode("utf-8")
+    write_csv_text(path, ["x", "y"], (f"{csv_quote(t)},1\n" for t in texts))
+    assert path.read_bytes() == written
 
 
 def test_cells_leave_missing_values_empty():
