@@ -163,7 +163,8 @@ def cmd_analyze(args) -> int:
     frag_rows = []
     centrality_rows = []
     for year in panel.years:
-        graph = symmetrize(allocate(panel.records[year], args.method, year), year)
+        directed = allocate(panel.records[year], args.method, year)
+        graph = symmetrize(directed, year)
         m = fragility_metrics(graph)
         tau = mixing_time(m.lambda2, args.epsilon) if m.lambda2 > 0 else math.inf
         if not m.connected:
@@ -191,7 +192,7 @@ def cmd_analyze(args) -> int:
                 file=sys.stderr,
             )
         else:
-            for bank, sc in spectral_centralities(graph).items():
+            for bank, sc in spectral_centralities(graph, directed.factors).items():
                 centrality_rows.append([year, bank, _fmt(sc)])
         if args.spectra:
             spectrum = {"eigenvalues": m.eigenvalues.tolist(), "bank_order": graph.banks, "normalized": False}

@@ -24,6 +24,10 @@ from .panel import BankRecord, ExposurePanel, _fmt, open_input, write_csv
 
 METHODS = ("equal", "size_weighted", "exposure_weighted")
 
+# a denominator mass - basis below this share of the mass has lost over
+# half its bits to cancellation
+_CANCELLATION = 2.0**-26
+
 
 @dataclass
 class YearArrays:
@@ -50,6 +54,10 @@ class DirectedExposureMatrix:
     entries: np.ndarray
     # exposure that had no eligible counterparty, per allocating bank
     unallocated: np.ndarray
+    # (A, G), one column per country: entries[i, j] = (A @ G.T)[i, j] off
+    # the diagonal, with A[i, c] bank i's exposure to country c per unit of
+    # its counterparties' weight there and G[j, home_j] bank j's weight
+    factors: tuple[np.ndarray, np.ndarray] | None = None
 
 
 @dataclass
@@ -198,6 +206,13 @@ def allocate_arrays(
         idx gives ``(k, n, n)`` and ``(k, n)`` results whose slice k equals
         the result for ``idx[k]`` bit for bit.
     """
+    entries, unallocated, _, _ = _allocate(arrays, method, idx, counts)
+    return entries, unallocated
+
+
+def _allocate(arrays, method, idx, counts):
+    """`allocate_arrays`, also returning the draws' allocation weights and
+    counterparty denominators (inf where nothing is placed)."""
     if idx is None:
         idx = np.arange(len(arrays.leis))
     idx = np.asarray(idx, dtype=np.intp)
@@ -231,7 +246,18 @@ def allocate_arrays(
     eligible = np.repeat(count[:, None, :], n, axis=1)
     eligible[draw, rows, home] -= 1.0
     denom = np.repeat(mass[:, None, :], n, axis=1)
-    denom[draw, rows, home] -= basis
+    own = mass[draw, home]
+    own_denom = own - basis
+    # a bank holding all but a _CANCELLATION share of its country's mass
+    # keeps under half the bits in mass - basis; its own-country
+    # denominator is summed from the other banks' weights instead (at most
+    # one bank per country can hold more than half)
+    lossy = own_denom < _CANCELLATION * own
+    if lossy.any():
+        rest = np.where(lossy, (counts - 1.0) * basis, counts * basis)
+        others = np.bincount(cell, weights=rest.ravel(), minlength=k * m).reshape(k, m)
+        own_denom = np.where(lossy, others[draw, home], own_denom)
+    denom[draw, rows, home] = own_denom
 
     placed = eligible > 0
     if np.any(placed & (denom <= 0)):
@@ -248,8 +274,8 @@ def allocate_arrays(
     entries[:, diag, diag] = np.where(counts > 1, entries[:, diag, diag], 0.0)
     unallocated = arrays.external_dropped[idx] + np.where(placed, 0.0, E).sum(axis=2)
     if single:
-        return entries[0], unallocated[0]
-    return entries, unallocated
+        return entries[0], unallocated[0], basis[0], safe[0]
+    return entries, unallocated, basis, safe
 
 
 def allocate(
@@ -260,10 +286,14 @@ def allocate(
     Each bank's exposure to a country is split across that country's sample
     banks: equally, by asset share, or by portfolio share. The allocating
     bank is never its own counterparty. The year, when given, is named in
-    errors.
+    errors. The result carries the allocation's rank-C factors (C
+    countries), which `spectral.spectral_centralities` solves on.
     """
     arrays = year_arrays(records, year=year)
-    entries, unallocated = allocate_arrays(arrays, method)
+    entries, unallocated, basis, denom = _allocate(arrays, method, None, None)
+    n = len(arrays.leis)
+    weight = np.zeros((n, len(arrays.countries)))
+    weight[np.arange(n), arrays.home] = basis
     own = unallocated - arrays.external_dropped
     if np.any(own > 0):
         lone = [arrays.leis[i] for i in np.nonzero(own > 0)[0]]
@@ -272,7 +302,9 @@ def allocate(
             + ", ".join(lone),
             stacklevel=2,
         )
-    return DirectedExposureMatrix(list(arrays.leis), entries, unallocated)
+    return DirectedExposureMatrix(
+        list(arrays.leis), entries, unallocated, (arrays.E / denom, weight)
+    )
 
 
 def symmetrize(directed: DirectedExposureMatrix, year: int = 0) -> WeightedGraph:

@@ -8,8 +8,10 @@ module that makes one. Most callers need only lambda2 or the eigenvalues:
 `lambda2_batch(stack)` is its case of same-sized networks with every bank
 once, `lambda2(weights)` is the one-network case, and `fragility_metrics`
 asks for eigenvalues alone. Eigenvectors are computed only by `eigenbasis`,
-for the diffusion dynamics, and by `lambda2_cut_bounds`, which screens
-candidate edge cuts from one decomposition.
+for the diffusion dynamics, by `lambda2_cut_bounds`, which screens
+candidate edge cuts from one decomposition, and by the low-rank
+leave-one-out solve of `spectral_centralities`, which needs the full
+graph's Fiedler vector and one eigenvector of each small secular matrix.
 A graph counts as disconnected when lambda2 < DISCONNECT_TOL * lambda_n;
 floating-point zero eigenvalues are never exact.
 """
@@ -28,6 +30,22 @@ DISCONNECT_TOL = 1e-8
 
 # matrix entries per stacked solve; see stack_members
 _CHUNK_ENTRIES = 2**15
+
+# leave-one-out lambda2 from the allocation's factors: years with fewer
+# banks than this take the dense loop, which measured as fast or faster
+# there (a tie at 61 banks, the paper's largest year; README)
+_LOW_RANK_MIN_BANKS = 78
+# certified bracket width, relative to lambda_n
+_LOO_TOL = 1e-13
+# a cap on Newton rounds per bank
+_LOO_ROUNDS = 12
+# explicit banks beyond which a remainder is solved densely
+_LOO_MAX_EXPLICIT = 8
+# matrix entries per chunk of banks
+_LOO_CHUNK_ENTRIES = 2**16
+# the largest root shift from rounding in the secular matrix, relative to
+# the certified width, at which a count still certifies
+_LOO_BLUR = 1.0 / 16.0
 
 # backward-error margin of lambda2_cut_bounds, relative to lambda_n: some
 # 1e4 times n * eps at the sizes here
@@ -291,22 +309,194 @@ def mixing_time(lambda2: float, epsilon: float) -> float:
     return -math.log(epsilon) / lambda2
 
 
-def spectral_centralities(graph: WeightedGraph) -> dict[str, float]:
+def spectral_centralities(
+    graph: WeightedGraph, factors: tuple[np.ndarray, np.ndarray] | None = None
+) -> dict[str, float]:
     """Drop in algebraic connectivity when each bank and its edges are
     removed; needs n >= 3.
 
     If a remainder is disconnected its lambda2 counts as 0, so that bank's
-    centrality equals the full graph's lambda2.
+    centrality equals the full graph's lambda2. Each remainder is solved
+    densely, unless `factors` gives the allocation's (A, G) (see
+    `network.allocate`) and the year has at least _LOW_RANK_MIN_BANKS banks:
+    then every remainder that `_leave_one_out_lambda2` certifies is solved on
+    the low-rank form, and only the others densely.
     """
     if graph.n < 3:
         raise DomainError("spectral centrality needs at least 3 banks")
     graph.validate()
     w = graph.weights
     base = lambda2(w)
+    loo = np.full(graph.n, np.nan)
+    if factors is not None and graph.n >= _LOW_RANK_MIN_BANKS:
+        loo = _leave_one_out_lambda2(w, *factors)
     out: dict[str, float] = {}
     for i, bank in enumerate(graph.banks):
-        keep = [k for k in range(graph.n) if k != i]
-        out[bank] = base - lambda2(w[np.ix_(keep, keep)])
+        if np.isnan(loo[i]):
+            keep = [k for k in range(graph.n) if k != i]
+            loo[i] = lambda2(w[np.ix_(keep, keep)])
+        out[bank] = base - float(loo[i])
+    return out
+
+
+def _leave_one_out_lambda2(weights: np.ndarray, A: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """lambda2 of the network left when each bank is removed, from the
+    allocation's factors; NaN for every bank this does not certify.
+
+    The weights are W = U S U^T - diag(r), with U = [A, G] (n x 2C),
+    S = [[0, I], [I, 0]] / 2 and r_i = (A G^T)_ii, so the Laplacian is
+    L = diag(d + r) - U S U^T. Removing bank i leaves the same form on the
+    other banks, with diagonal Delta_j = d_j + r_j - W_ji. The banks P whose
+    Delta_j lies within the bracket stay explicit; the others, Q, are folded
+    into the secular matrix of the bordered
+    K(mu) = [[Delta_P - mu, U_P], [U_P^T, S^-1 - U_Q^T (Delta_Q - mu)^-1 U_Q]].
+    By Haynsworth's inertia additivity the remainder has #neg K(mu) - C
+    eigenvalues below mu, and K decreases in mu (Golub 1973; Arbenz & Golub
+    1988). Every row of G has one entry, so K's G-block is a negative
+    diagonal -g whenever each country keeps a bank in Q; its Schur
+    complement H(mu), of order |P| + C, then has exactly as many negative
+    eigenvalues as the remainder has below mu (the count), also decreases
+    in mu, and lambda2 is the root of H's second-smallest eigenvalue.
+
+    The bracket starts at the Rayleigh quotient of the full graph's Fiedler
+    vector on the remaining banks (capped by lambda3, by interlacing) and at
+    max(lambda2 - max_j W_ij, 2 * DISCONNECT_TOL * lambda_n). Safeguarded
+    Newton steps close it to _LOO_TOL * lambda_n, and the count certifies
+    each end. A bank stays NaN when an end fails its count, when it does not
+    close within _LOO_ROUNDS, when its P has more than _LOO_MAX_EXPLICIT
+    banks or leaves a country no bank in Q; every bank does when the full
+    graph counts as disconnected, when a row of G has more than one entry,
+    or when the factors do not reproduce the weights to _LOO_TOL * lambda_n
+    in Frobenius norm. A certified lambda2
+    lies above the disconnect floor, and lambda_n of a remainder never
+    exceeds lambda_n, so the disconnect rule needs no solve there.
+    """
+    n, c = A.shape
+    out = np.full(n, np.nan)
+    lam, vec = eigenbasis(weights)
+    v = vec[:, 1].copy()
+    del vec
+    lam_n = lam[-1]
+    r = np.einsum("ic,ic->i", A, G)
+    error = A @ G.T
+    error += error.T
+    error *= 0.5
+    error -= weights
+    error[np.arange(n), np.arange(n)] -= r
+    tol = _LOO_TOL * lam_n
+    # the factors' Laplacian lies within |error|_F of L in every eigenvalue
+    single = np.all(np.count_nonzero(G, axis=1) == 1)
+    if not (single and _connected(lam) and np.linalg.norm(error) <= tol):
+        return out
+    del error
+    # scale the columns of one country to equal norms; U S U^T is unchanged
+    norm_a, norm_g = np.linalg.norm(A, axis=0), np.linalg.norm(G, axis=0)
+    alpha = np.sqrt(np.divide(norm_g, norm_a, out=np.ones(c), where=(norm_a > 0) & (norm_g > 0)))
+    A, G = A * alpha, G / alpha
+    # per bank j: a_j a_j^T and a_j g_j^T, so that one product with the
+    # weights 1 / (Delta_j - mu) sums the secular blocks X and Y
+    terms = np.empty((n, 2, c, c))
+    np.einsum("ja,jb->jab", A, A, out=terms[:, 0])
+    np.einsum("ja,jb->jab", A, G, out=terms[:, 1])
+    terms = terms.reshape(n, -1)
+
+    d = weights.sum(axis=1)
+    delta = d + r
+    # sum_j W_ij (v_i - v_j)^2, the Fiedler energy on bank i's edges
+    t = v * v * d - 2.0 * v * (weights @ v) + weights @ (v * v)
+    rest = (v @ v - v * v) - (v.sum() - v) ** 2 / (n - 1)
+    quotient = np.divide(0.5 * t.sum() - t, rest, out=np.full(n, np.inf), where=rest > 0)
+    hi = np.minimum(quotient, lam[2]) + tol
+    lo = np.maximum(lam[1] - weights.max(axis=1), 2.0 * DISCONNECT_TOL * lam_n)
+
+    member = (G != 0).astype(float)
+    chunk = max(1, _LOO_CHUNK_ENTRIES // (4 * n + 4 * c * c))
+    for start in range(0, n, chunk):
+        part = np.arange(start, min(start + chunk, n))
+        # row k: the diagonal Delta of bank part[k]'s remainder
+        rows = delta - weights[part]
+        rows[np.arange(len(part)), part] = np.inf
+        explicit = rows <= hi[part, None]
+        sizes = explicit.sum(axis=1)
+        # each country must keep a bank in Q
+        folded = (np.isfinite(rows) & ~explicit) @ member
+        ok = (sizes <= _LOO_MAX_EXPLICIT) & (lo[part] < hi[part]) & (folded > 0).all(axis=1)
+        for p in np.unique(sizes[ok]).tolist():
+            at = np.nonzero(ok & (sizes == p))[0]
+            kept = np.nonzero(explicit[at])[1].reshape(len(at), p)
+            banks = part[at]
+            out[banks] = _secular_roots(rows[at], kept, A, G, terms, lo[banks], hi[banks], tol)
+    return out
+
+
+def _secular_roots(rows, kept, A, G, terms, lo, hi, tol):
+    """The leave-one-out lambda2 of `_leave_one_out_lambda2` for a chunk of
+    banks with p explicit banks each; NaN where it does not certify.
+
+    rows[k] holds the diagonal Delta of bank k's remainder (inf at the bank
+    itself), kept[k] its explicit banks and [lo, hi] its starting bracket;
+    all three are overwritten.
+    """
+    k, p = kept.shape
+    c = A.shape[1]
+    at = np.arange(k)[:, None]
+    shifted = rows[at, kept]
+    rows[at, kept] = np.inf
+    # B = [G_P; 2I - Y] borders the G-block; H = [[Delta_P - mu, A_P],
+    # [A_P^T, -X]] + B diag(1 / g) B^T
+    head = np.zeros((k, p + c, p + c))
+    head[:, :p, p:] = A[kept]
+    head[:, p:, :p] = A[kept].transpose(0, 2, 1)
+    border = np.zeros((k, p + c, c))
+    border[:, :p] = G[kept]
+    ip, ic = np.arange(p), np.arange(c)
+    out = np.full(k, np.nan)
+    lo_ok = np.zeros(k, dtype=bool)
+    mu = hi.copy()
+    act = np.arange(k)
+    for _ in range(_LOO_ROUNDS):
+        m = mu[act]
+        rho = 1.0 / (rows[act] - m[:, None])
+        sums = rho @ terms
+        H = head[act]
+        H[:, ip, ip] = shifted[act] - m[:, None]
+        H[:, p:, p:] = -sums[:, : c * c].reshape(-1, c, c)
+        B = border[act]
+        B[:, p:] = -sums[:, c * c :].reshape(-1, c, c)
+        B[:, p + ic, ic] += 2.0
+        g = rho @ (G * G)
+        H += (B / g[:, None, :]) @ B.transpose(0, 2, 1)
+        ev, vecs = _eigh(H, eigvals_only=False)
+        kappa = ev[:, 1]
+        y = vecs[:, :, 1]
+        # the slope y^T H' y, through the eliminated G-part B^T y / g
+        z = np.einsum("kic,ki->kc", B, y) / g
+        proj = y[:, p:] @ A.T + z @ G.T
+        proj *= rho
+        slope = -np.einsum("ki,ki->k", y[:, :p], y[:, :p]) - np.einsum("kj,kj->k", proj, proj)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = m - kappa / slope
+            # the rounding in H moves the root by about eps |H| / |slope|
+            blur = np.finfo(float).eps * np.linalg.norm(H, axis=(1, 2)) / -slope
+        # kappa >= 0: at most one eigenvalue of the remainder lies below m
+        below = kappa >= 0
+        # an end that fails its count, or a count that cannot resolve the
+        # bracket, certifies nothing
+        fail = np.where(below, m >= hi[act], m <= lo[act]) | ~(blur <= _LOO_BLUR * tol)
+        lo[act] = np.where(below, m, lo[act])
+        hi[act] = np.where(below, hi[act], m)
+        lo_ok[act] |= below
+        done = lo_ok[act] & (hi[act] - lo[act] <= tol) & ~fail
+        out[act[done]] = np.clip(newton[done], lo[act[done]], hi[act[done]])
+        # step just past the Newton point, so that the next count lands on
+        # the far side of the root once Newton is that close
+        step = newton + np.where(below, 0.25 * tol, -0.25 * tol)
+        inside = (step > lo[act]) & (step < hi[act])
+        fallback = np.where(lo_ok[act], 0.5 * (lo[act] + hi[act]), lo[act])
+        mu[act] = np.where(inside, step, fallback)
+        act = act[~(done | fail)]
+        if not len(act):
+            break
     return out
 
 

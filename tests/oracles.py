@@ -121,6 +121,23 @@ def resistance_distances(weights) -> np.ndarray:
     return d[:, None] + d[None, :] - 2.0 * p
 
 
+def centrality_reference(weights) -> np.ndarray:
+    """Spectral centrality of each bank in order: lambda2 of the graph less
+    lambda2 of the graph without that bank, each from its own dense
+    eigvalsh. A lambda2 below 1e-8 lambda_n (the README's disconnect rule)
+    counts as 0."""
+    w = np.asarray(weights, dtype=float)
+
+    def connectivity(m):
+        lam = np.linalg.eigvalsh(laplacian(m))
+        return lam[1] if lam[-1] > 0 and lam[1] >= 1e-8 * lam[-1] else 0.0
+
+    base = connectivity(w)
+    return np.array(
+        [base - connectivity(np.delete(np.delete(w, i, axis=0), i, axis=1)) for i in range(len(w))]
+    )
+
+
 # ---------------------------------------------------------------------------
 # bootstrap resamples, node by node
 

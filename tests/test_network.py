@@ -220,6 +220,39 @@ def test_twin_allocation_matches_one_node_per_copy():
             np.testing.assert_allclose(unallocated, full_unallocated[first], rtol=1e-14, atol=0)
 
 
+def test_own_country_denominator_of_a_bank_that_dwarfs_its_country():
+    # FR's mass rounds to the big bank's weight, so mass - weight is 0
+    records = [
+        bank("big", "FR", assets=1e17, exposures={"DE": 5.0, "FR": 4.0}),
+        bank("small", "FR", assets=1.0, exposures={"FR": 3.0}),
+        bank("de", "DE", exposures={"FR": 2.0}),
+    ]
+    d = allocate(records, "size_weighted")
+    assert d.entries[0, 1] == 4.0
+    assert d.entries[1, 0] == 3.0
+    assert d.entries[2, 0] == 2.0 and d.entries[2, 1] == 2e-17
+    assert validate_conservation(symmetrize(d), d, records).ok
+    # the twin-count path: the small bank drawn twice
+    arrays = year_arrays(records, warn=False)
+    entries, _ = allocate_arrays(arrays, "size_weighted", np.array([0, 1, 2]), np.array([1, 2, 1]))
+    assert entries[0, 1] == 2.0
+    assert entries[1, 0] == 3.0 and entries[1, 1] == 3e-17
+
+
+def test_allocation_factors_give_the_directed_entries():
+    panel = synthesize_panel({2014: DEFAULT_CALIBRATION[2014]}, seed=1)
+    for method in METHODS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            d = allocate(panel.records[2014], method)
+        A, G = d.factors
+        assert A.shape == G.shape == (len(d.banks), 15)
+        assert np.all(np.count_nonzero(G, axis=1) == 1)
+        product = A @ G.T
+        np.fill_diagonal(product, 0.0)
+        np.testing.assert_allclose(product, d.entries, rtol=1e-14, atol=0, err_msg=method)
+
+
 def test_stats_of_weights_whose_squares_leave_the_float_range():
     w = np.array([[0.0, 3.0, 1e-300], [3.0, 0.0, 2.0], [1e-300, 2.0, 0.0]])
     big, small = network_stats(graph_of(w * 1e300)), network_stats(graph_of(w))

@@ -1,5 +1,7 @@
 import math
 import re
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import complete_graph, graph_of, random_connected
+from conftest import bank, complete_graph, graph_of, lei, random_connected
+from fragnet import spectral
+from fragnet.cli import DEFAULT_CALIBRATION
 from fragnet.errors import DomainError
+from fragnet.network import allocate, symmetrize
+from fragnet.panel import synthesize_panel
 from fragnet.spectral import (
     DISCONNECT_TOL,
     complete_graph_lambda2,
@@ -334,6 +340,147 @@ def test_centrality_hub_dominates_leaf():
 def test_centrality_needs_three_banks():
     with pytest.raises(DomainError):
         spectral_centralities(complete_graph(2))
+
+
+# ---------------------------------------------------------------------------
+# spectral centrality on the allocation's factors
+
+SCALED_BANKS = {2014: 240, 2016: 180, 2018: 120, 2021: 90, 2023: 60}
+SCALED_CALIBRATION = {
+    year: {**cfg, "n_banks": SCALED_BANKS[year],
+           "total_exposure": cfg["total_exposure"] * SCALED_BANKS[year] / cfg["n_banks"]}
+    for year, cfg in DEFAULT_CALIBRATION.items()
+}
+CLI_METHODS = ("equal", "size_weighted", "exposure_weighted")
+
+
+def allocated(records, method="equal"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        directed = allocate(records, method)
+    return symmetrize(directed), directed.factors
+
+
+def assert_matches_reference(graph, cents, label=""):
+    reference = oracles.centrality_reference(graph.weights)
+    lam_n = np.linalg.eigvalsh(oracles.laplacian(graph.weights))[-1]
+    got = np.array([cents[b] for b in graph.banks])
+    worst = np.max(np.abs(got - reference)) / lam_n
+    assert worst <= 1e-12, f"{label}: off by {worst:.2e} lambda_n"
+
+
+def certified(graph, factors) -> np.ndarray:
+    """Banks whose leave-one-out lambda2 the low-rank solve certifies."""
+    return ~np.isnan(spectral._leave_one_out_lambda2(graph.weights, *factors))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 42])
+def test_centralities_match_the_reference_at_paper_size(seed, monkeypatch):
+    panel = synthesize_panel(DEFAULT_CALIBRATION, seed=seed)
+    for year in panel.years:
+        for method in CLI_METHODS:
+            graph, factors = allocated(panel.records[year], method)
+            # paper-size years take the dense loop, factors or not
+            assert spectral_centralities(graph, factors) == spectral_centralities(graph)
+            assert_matches_reference(graph, spectral_centralities(graph), f"{year} {method}")
+    # the low-rank solve below its switch size
+    monkeypatch.setattr(spectral, "_LOW_RANK_MIN_BANKS", 3)
+    solved = total = 0
+    for year in panel.years:
+        for method in CLI_METHODS:
+            graph, factors = allocated(panel.records[year], method)
+            assert_matches_reference(graph, spectral_centralities(graph, factors), f"{year} {method}")
+            solved += int(certified(graph, factors).sum())
+            total += graph.n
+    assert solved >= 0.95 * total
+
+
+def test_centralities_match_the_reference_at_scaled_size():
+    panel = synthesize_panel(SCALED_CALIBRATION, seed=42)
+    for year in panel.years:
+        for method in CLI_METHODS:
+            graph, factors = allocated(panel.records[year], method)
+            if graph.n >= spectral._LOW_RANK_MIN_BANKS:
+                assert certified(graph, factors).all(), f"{year} {method}"
+            assert_matches_reference(graph, spectral_centralities(graph, factors), f"{year} {method}")
+
+
+def core_banks():
+    """Nine banks, three per country, each lending to every country."""
+    return [
+        bank(f"{c}{k}", c, assets=100.0 + k,
+             exposures={o: (5.0 if o == c else 10.0) + k for o in ("DE", "FR", "IT")})
+        for c in ("DE", "FR", "IT") for k in range(3)
+    ]
+
+
+def tiny_bank(tag):
+    """A bank too small to receive much, lending a little to every bank."""
+    return bank(tag, "DE", assets=1e-3, exposures={"DE": 0.03, "FR": 0.03, "IT": 0.03})
+
+
+def test_centrality_with_explicit_banks(monkeypatch):
+    # the tiny bank's diagonal lies below every remainder's lambda2, so it
+    # stays explicit beside the secular matrix
+    monkeypatch.setattr(spectral, "_LOW_RANK_MIN_BANKS", 3)
+    graph, factors = allocated(core_banks() + [tiny_bank("tt")], "size_weighted")
+    w = graph.weights
+    A, G = factors
+    delta = w.sum(axis=1) + np.einsum("ic,ic->i", A, G)
+    reference = lambda2(w) - oracles.centrality_reference(w)
+    below = [reference[i] > np.delete(delta - w[:, i], i).min() for i in range(graph.n)]
+    assert all(below)
+    assert certified(graph, factors).all()
+    assert_matches_reference(graph, spectral_centralities(graph, factors))
+
+
+def test_centrality_of_identical_banks(monkeypatch):
+    # three identical banks: their twin value is lambda2 = lambda3 of the
+    # graph and of every remainder that keeps all three
+    monkeypatch.setattr(spectral, "_LOW_RANK_MIN_BANKS", 3)
+    graph, factors = allocated(core_banks() + [tiny_bank(t) for t in ("t1", "t2", "t3")], "size_weighted")
+    lam = np.linalg.eigvalsh(oracles.laplacian(graph.weights))
+    assert lam[2] - lam[1] <= 1e-12 * lam[-1]
+    assert certified(graph, factors).all()
+    assert_matches_reference(graph, spectral_centralities(graph, factors))
+
+
+def test_centrality_of_a_bank_whose_removal_disconnects(monkeypatch):
+    # the hub alone links the FR banks to the others
+    monkeypatch.setattr(spectral, "_LOW_RANK_MIN_BANKS", 3)
+    records = [
+        bank("d1", "DE"), bank("d2", "DE"), bank("f1", "FR"), bank("f2", "FR"),
+        bank("hub", "IT", exposures={"DE": 4.0, "FR": 6.0}),
+        bank("it", "IT", exposures={"DE": 2.0}),
+    ]
+    graph, factors = allocated(records)
+    cents = spectral_centralities(graph, factors)
+    assert cents[lei("hub")] == lambda2(graph.weights)
+    assert not certified(graph, factors)[graph.index(lei("hub"))]
+    assert_matches_reference(graph, cents)
+
+
+def test_centrality_with_stale_factors_is_the_dense_answer(monkeypatch):
+    monkeypatch.setattr(spectral, "_LOW_RANK_MIN_BANKS", 3)
+    records = core_banks() + [tiny_bank("tt")]
+    graph, _ = allocated(records, "size_weighted")
+    _, stale = allocated(records, "equal")
+    assert not certified(graph, stale).any()
+    assert spectral_centralities(graph, stale) == spectral_centralities(graph)
+
+
+def test_centrality_kernel_memory_on_a_240_bank_year():
+    panel = synthesize_panel({2014: SCALED_CALIBRATION[2014]}, seed=42)
+    graph, factors = allocated(panel.records[2014])
+    spectral_centralities(graph, factors)
+    tracemalloc.start()
+    try:
+        spectral_centralities(graph, factors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 1.9 MB in chunks of _LOO_CHUNK_ENTRIES; 7.0 MB in one chunk
+    assert peak < 3e6
 
 
 # ---------------------------------------------------------------------------
