@@ -17,6 +17,7 @@ from . import __version__
 from .diffusion import cascade_stress_test, load_scenario
 from .errors import DomainError, InputError
 from .inference import (
+    MIN_BOOTSTRAP_B,
     BootstrapResult,
     DidEstimate,
     bootstrap_did,
@@ -242,6 +243,8 @@ def _did_table(
 def cmd_did(args) -> int:
     pre = _parse_years(args.pre, "--pre")
     post = _parse_years(args.post, "--post")
+    if args.bootstrap_b and args.bootstrap_b < MIN_BOOTSTRAP_B:
+        raise InputError(f"--bootstrap-b must be 0 or at least {MIN_BOOTSTRAP_B}, got {args.bootstrap_b}")
     if args.bootstrap_b and not args.input:
         raise InputError("bootstrap needs --input with a bank panel")
     out = _out_dir(args)
@@ -310,8 +313,7 @@ def cmd_did(args) -> int:
         doc["bootstrap"] = bootstrap_to_dict(boot)
 
     for false_year, placebo in placebos.items():
-        placebo_values = {y: series.value(y) for y in placebo.effects}
-        _did_table(out / f"placebo_{false_year}.csv", placebo, placebo_values, None)
+        _did_table(out / f"placebo_{false_year}.csv", placebo, values, None)
         doc.setdefault("placebo", {})[str(false_year)] = did_to_dict(placebo)
 
     write_json(out / "did.json", doc, indent=2)
@@ -360,6 +362,8 @@ def cmd_stress(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if not (math.isfinite(args.sigma) and args.sigma >= 0):
+        raise InputError(f"--sigma must be a finite non-negative number, got {args.sigma}")
     calibration = load_calibration(args.calib) if args.calib else DEFAULT_CALIBRATION
     panel = synthesize_panel(calibration, seed=args.seed, sigma=args.sigma)
     out_path = Path(args.out)

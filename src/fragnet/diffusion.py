@@ -8,7 +8,6 @@ exists only in the test suite as an independent oracle.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, GreedyStalled, InputError
 from .network import WeightedGraph
-from .panel import open_input
+from .panel import json_number, read_json_object
 from .spectral import (
     DISCONNECT_TOL,
     _lambda2_of,
@@ -430,18 +429,6 @@ def _proportional_cut(graph: WeightedGraph, target: np.ndarray) -> WeightedGraph
     return WeightedGraph(list(graph.banks), w, graph.year)
 
 
-def _scenario_number(path: Path, field: str, value) -> float:
-    """A finite JSON number, or an InputError naming the file and the field."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            x = float(value)
-        except OverflowError:  # an integer beyond the float range
-            x = math.inf
-        if math.isfinite(x):
-            return x
-    raise InputError(f"{path}: scenario field {field} must be a finite number, got {value!r}")
-
-
 def load_scenario(path: str | Path, graph: WeightedGraph) -> tuple[ForcingSpec, dict[str, float], float, float]:
     """Parse a scenario JSON: shock map, onset, horizon, dt, capitals map.
 
@@ -450,13 +437,7 @@ def load_scenario(path: str | Path, graph: WeightedGraph) -> tuple[ForcingSpec, 
     horizon of more than MAX_WINDOWS windows of length dt.
     """
     path = Path(path)
-    try:
-        with open_input(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InputError(f"{path}: a scenario must be a JSON object")
+    doc = read_json_object(path, "scenario")
     for key in ("shock", "horizon", "dt", "capitals"):
         if key not in doc:
             raise InputError(f"{path}: missing scenario field {key!r}")
@@ -474,10 +455,10 @@ def load_scenario(path: str | Path, graph: WeightedGraph) -> tuple[ForcingSpec, 
         raise InputError(
             f"{path}: capitals missing for banks: {', '.join(sorted(uncovered))}"
         )
-    shock = {b: _scenario_number(path, f"shock[{b!r}]", v) for b, v in doc["shock"].items()}
-    capitals = {b: _scenario_number(path, f"capitals[{b!r}]", v) for b, v in doc["capitals"].items()}
+    shock = {b: json_number(path, f"field shock[{b!r}]", v) for b, v in doc["shock"].items()}
+    capitals = {b: json_number(path, f"field capitals[{b!r}]", v) for b, v in doc["capitals"].items()}
     onset, horizon, dt = (
-        _scenario_number(path, repr(key), doc.get(key, 0.0)) for key in ("onset", "horizon", "dt")
+        json_number(path, f"field {key!r}", doc.get(key, 0.0)) for key in ("onset", "horizon", "dt")
     )
     if dt > 0 and horizon / dt > MAX_WINDOWS:
         raise InputError(

@@ -8,7 +8,6 @@ calculators built on spectral centrality.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,8 +16,11 @@ import numpy as np
 
 from .errors import DomainError, InputError
 from .network import WeightedGraph, YearArrays, allocate_arrays, year_arrays
-from .panel import ExposurePanel, open_input
+from .panel import ExposurePanel, parse_nonnegative, parse_year, read_csv
 from .spectral import lambda2, lambda2_quotient, stack_members
+
+# fewest bootstrap replications whose percentile interval is reported
+MIN_BOOTSTRAP_B = 100
 
 
 @dataclass
@@ -193,8 +195,7 @@ def placebo_test(series: FragilitySeries, false_treatment_year: int) -> DidEstim
     sub = make_series(
         {y: series.value(y) for y in pre}, pre_years=baseline, post_years=pseudo_post
     )
-    result = did_level(sub)
-    return DidEstimate("level", result.baseline_alpha, result.effects)
+    return did_level(sub)
 
 
 def balanced_panel(panel: ExposurePanel) -> ExposurePanel:
@@ -365,8 +366,8 @@ def bootstrap_did(
     Two-sided p-values are 2 * min(share of draws <= 0, share > 0); the 95%
     interval takes the 2.5th and 97.5th percentiles with linear interpolation.
     """
-    if B < 100:
-        raise DomainError(f"bootstrap needs B >= 100, got {B}")
+    if B < MIN_BOOTSTRAP_B:
+        raise DomainError(f"bootstrap needs B >= {MIN_BOOTSTRAP_B}, got {B}")
     if variant not in ("level", "detrended"):
         raise InputError(f"unknown estimator variant {variant!r}")
     pre_years = tuple(sorted(int(y) for y in pre_years))
@@ -435,29 +436,12 @@ def load_series_csv(path: str | Path) -> dict[int, float]:
     """
     path = Path(path)
     values: dict[int, float] = {}
-    with open_input(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["year", "lambda2"]:
-            raise InputError(f"{path}: bad series header {header!r}, expected ['year', 'lambda2']")
-        for row in reader:
-            line = reader.line_num
-            if not row:
-                continue
-            if len(row) != 2:
-                raise InputError(f"{path}: line {line}: expected 2 fields, got {len(row)}")
-            try:
-                year, value = int(row[0]), float(row[1])
-            except ValueError as exc:
-                raise InputError(f"{path}: line {line}: bad numeric field") from exc
-            if not (math.isfinite(value) and value >= 0.0):
-                raise InputError(
-                    f"{path}: line {line}: lambda2 must be a finite non-negative number, "
-                    f"got {row[1]!r}"
-                )
-            if year in values:
-                raise InputError(f"{path}: line {line}: duplicate year {year}")
-            values[year] = value
+    for line, (year_s, value_s) in read_csv(path, ["year", "lambda2"], "series"):
+        year = parse_year(year_s, path, line)
+        value = parse_nonnegative(value_s, path, line, "lambda2")
+        if year in values:
+            raise InputError(f"{path}: line {line}: duplicate year {year}")
+        values[year] = value
     if len(values) < 2:
         raise InputError(f"{path}: a series needs at least 2 years")
     return values

@@ -10,7 +10,6 @@ with a warning. Self-loops never occur.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from collections import Counter
@@ -20,9 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, InputError
-from .panel import BankRecord, ExposurePanel, _fmt, open_input, write_csv
+from .panel import BankRecord, ExposurePanel, _fmt, parse_nonnegative, parse_year, read_csv, write_csv
 
 METHODS = ("equal", "size_weighted", "exposure_weighted")
+
+EDGE_HEADER = ["year", "bank_i", "bank_j", "weight"]
 
 # a denominator mass - basis below this share of the mass has lost over
 # half its bits to cancellation
@@ -302,6 +303,18 @@ def allocate(
             + ", ".join(lone),
             stacklevel=2,
         )
+    # a positive exposure whose share of a counterparty rounds to zero is
+    # dropped with it, and so is the edge when the other share is zero too
+    lost = (arrays.E[:, arrays.home] > 0) & (entries == 0)
+    np.fill_diagonal(lost, False)
+    if lost.any():
+        rows, cols = np.nonzero(lost)
+        pairs = sorted({(arrays.leis[i], arrays.countries[arrays.home[j]]) for i, j in zip(rows, cols)})
+        warnings.warn(
+            "exposure shares that round to zero dropped: "
+            + ", ".join(f"{lei} to {country}" for lei, country in pairs),
+            stacklevel=2,
+        )
     return DirectedExposureMatrix(
         list(arrays.leis), entries, unallocated, (arrays.E / denom, weight)
     )
@@ -404,7 +417,7 @@ def graph_to_edge_csv(graph: WeightedGraph, path: str | Path) -> None:
     keep = w > 0
     banks, year = graph.banks, graph.year
     edges = zip(rows[keep].tolist(), cols[keep].tolist(), w[keep].tolist())
-    write_csv(Path(path), ["year", "bank_i", "bank_j", "weight"],
+    write_csv(Path(path), EDGE_HEADER,
               ([year, banks[i], banks[j], _fmt(x)] for i, j, x in edges))
 
 
@@ -417,61 +430,44 @@ def graph_from_edge_csv(path: str | Path) -> WeightedGraph:
     would be infinite.
     """
     path = Path(path)
-    banks: list[str] = []
+    # bank -> its index, in order of first appearance
     seen: dict[str, int] = {}
     pair_line: dict[tuple[int, int], int] = {}
-    rows: list[tuple[int, int, float]] = []
+    rows: list[int] = []
+    cols: list[int] = []
+    weights: list[float] = []
     year = year_line = None
-    with open_input(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["year", "bank_i", "bank_j", "weight"]:
-            raise InputError(f"{path}: bad edge-list header {header!r}")
-        for row in reader:
-            line = reader.line_num
-            if not row:
-                continue
-            if len(row) != 4:
-                raise InputError(f"{path}: line {line}: expected 4 fields, got {len(row)}")
-            try:
-                row_year = int(row[0])
-                w = float(row[3])
-            except ValueError as exc:
-                raise InputError(f"{path}: line {line}: bad numeric field") from exc
-            if not math.isfinite(w):
-                raise InputError(f"{path}: line {line}: non-finite weight {row[3]!r}")
-            if w < 0:
-                raise InputError(f"{path}: line {line}: negative weight {w}")
-            if year is None:
-                year, year_line = row_year, line
-            elif row_year != year:
-                raise InputError(
-                    f"{path}: line {line}: year {row_year} differs from year {year} "
-                    f"on line {year_line}; an edge list holds one year"
-                )
-            for bank in (row[1], row[2]):
-                if bank not in seen:
-                    seen[bank] = len(banks)
-                    banks.append(bank)
-            i, j = seen[row[1]], seen[row[2]]
-            if i == j:
-                raise InputError(f"{path}: line {line}: self-loop on {row[1]}")
-            pair = (i, j) if i < j else (j, i)
-            if pair in pair_line:
-                raise InputError(
-                    f"{path}: line {line}: pair {row[1]},{row[2]} already given on "
-                    f"line {pair_line[pair]}"
-                )
-            pair_line[pair] = line
-            rows.append((i, j, w))
+    for line, (year_s, bank_i, bank_j, weight_s) in read_csv(path, EDGE_HEADER, "edge-list"):
+        row_year = parse_year(year_s, path, line)
+        w = parse_nonnegative(weight_s, path, line, "weight")
+        if year is None:
+            year, year_line = row_year, line
+        elif row_year != year:
+            raise InputError(
+                f"{path}: line {line}: year {row_year} differs from year {year} "
+                f"on line {year_line}; an edge list holds one year"
+            )
+        i = seen.setdefault(bank_i, len(seen))
+        j = seen.setdefault(bank_j, len(seen))
+        if i == j:
+            raise InputError(f"{path}: line {line}: self-loop on {bank_i}")
+        pair = (i, j) if i < j else (j, i)
+        if pair in pair_line:
+            raise InputError(
+                f"{path}: line {line}: pair {bank_i},{bank_j} already given on "
+                f"line {pair_line[pair]}"
+            )
+        pair_line[pair] = line
+        rows.append(i)
+        cols.append(j)
+        weights.append(w)
+    banks = list(seen)
     if len(banks) < 2:
         raise InputError(f"{path}: fewer than 2 banks")
-    n = len(banks)
-    weights = np.zeros((n, n))
-    for i, j, w in rows:
-        weights[i, j] = w
-        weights[j, i] = w
-    graph = WeightedGraph(banks, weights, year)
+    matrix = np.zeros((len(banks), len(banks)))
+    matrix[rows, cols] = weights
+    matrix[cols, rows] = weights
+    graph = WeightedGraph(banks, matrix, year)
     graph.validate()
     with np.errstate(over="ignore"):
         finite = np.isfinite(graph.degrees())

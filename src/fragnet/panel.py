@@ -128,6 +128,95 @@ def open_input(path: Path):
         raise
 
 
+# Every input is read through the functions below: one implementation and
+# one wording per rule. Errors name the file, and the line and column of a
+# CSV field or the field of a JSON document.
+
+
+def read_csv(path: Path, header: list[str], what: str):
+    """The rows of an input CSV table as (line, row) pairs, the header
+    checked and blank rows skipped. An empty file, another header, a row of
+    another field count or malformed CSV is an InputError naming the file
+    (and the line); `what` names the table in a header error."""
+    with open_input(path) as fh:
+        reader = csv.reader(fh)
+        try:
+            first = next(reader, None)
+            if first is None:
+                raise InputError(f"{path}: empty file")
+            if first != header:
+                raise InputError(f"{path}: bad {what} header {first!r}, expected {header!r}")
+            width = len(header)
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != width:
+                    raise InputError(
+                        f"{path}: line {reader.line_num}: expected {width} fields, got {len(row)}"
+                    )
+                yield reader.line_num, row
+        except csv.Error as exc:
+            raise InputError(f"{path}: line {reader.line_num}: {exc}") from exc
+
+
+def _at(path: Path, line: int | None, column: str) -> str:
+    # a CSV field's place, or a JSON field's when there is no line
+    return f"{path}: {column}" if line is None else f"{path}: line {line}: column {column}"
+
+
+def parse_year(text: str, path: Path, line: int | None, column: str = "year") -> int:
+    """A year field: one int(), or an InputError naming the file, the line
+    and the column (with no line, `column` names a JSON field)."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise InputError(f"{_at(path, line, column)}: not an integer: {text!r}") from exc
+
+
+def parse_nonnegative(text: str, path: Path, line: int, column: str) -> float:
+    """A CSV number field that must be finite and not negative, or an
+    InputError naming the file, the line and the column."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise InputError(f"{_at(path, line, column)}: not a number: {text!r}") from exc
+    if not math.isfinite(value):
+        raise InputError(f"{_at(path, line, column)}: non-finite value {text!r}")
+    if value < 0:
+        raise InputError(f"{_at(path, line, column)}: negative value {value}")
+    return value
+
+
+def read_json_object(path: Path, what: str) -> dict:
+    """An input JSON document that must be an object. Invalid JSON, a
+    number of more digits or nesting deeper than the parser takes, or
+    another value is an InputError naming the file; `what` names the
+    document."""
+    try:
+        with open_input(path) as fh:
+            doc = json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: a {what} must be a JSON object")
+    return doc
+
+
+def json_number(path: Path, where: str, value, whole: bool = False):
+    """A JSON number that must be finite, and whole when asked (an int
+    then, a float otherwise). A bool, a string or any other value is an
+    InputError naming the file and `where` the value sits."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an integer beyond the float range
+            x = math.inf
+        if math.isfinite(x) and (x.is_integer() or not whole):
+            return int(x) if whole else x
+    kind = "a whole number" if whole else "a finite number"
+    raise InputError(f"{path}: {where} must be {kind}, got {value!r}")
+
+
 @dataclass
 class BankRecord:
     """One bank-year observation with its country-level exposure vector."""
@@ -165,18 +254,6 @@ def _warn_country(code: str, path: Path, line: int) -> None:
         )
 
 
-def _parse_money(text: str, path: Path, line: int, column: str) -> float:
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise InputError(f"{path}: line {line}: column {column}: not a number: {text!r}") from exc
-    if not np.isfinite(value):
-        raise InputError(f"{path}: line {line}: column {column}: non-finite value {text!r}")
-    if value < 0:
-        raise InputError(f"{path}: line {line}: column {column}: negative value {value}")
-    return value
-
-
 def load_panel(path: str | Path) -> ExposurePanel:
     """Read and validate a panel CSV.
 
@@ -204,67 +281,42 @@ def load_panel(path: str | Path) -> ExposurePanel:
     seen_pairs: set[tuple[int, str, str]] = set()
     totals: dict[int, float] = {}
 
-    with open_input(path) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration as exc:
-            raise InputError(f"{path}: empty file") from exc
-        if header != CSV_HEADER:
-            raise InputError(
-                f"{path}: bad header {header!r}, expected {CSV_HEADER!r}"
-            )
-        for row in reader:
-            line = reader.line_num
-            if not row:
-                continue
-            if len(row) != len(CSV_HEADER):
-                raise InputError(
-                    f"{path}: line {line}: expected {len(CSV_HEADER)} fields, got {len(row)}"
-                )
-            year_s, lei, name, country, assets_s, capital_s, exp_country, exp_s = row
-            try:
-                year = int(year_s)
-            except ValueError as exc:
-                raise InputError(f"{path}: line {line}: column year: not an integer: {year_s!r}") from exc
-            _check_lei(lei, path, line)
-            _warn_country(country, path, line)
-            _warn_country(exp_country, path, line)
-            assets = _parse_money(assets_s, path, line, "total_assets")
-            capital = _parse_money(capital_s, path, line, "capital")
-            amount = _parse_money(exp_s, path, line, "exposure_amount")
+    for line, row in read_csv(path, CSV_HEADER, "panel"):
+        year_s, lei, name, country, assets_s, capital_s, exp_country, exp_s = row
+        year = parse_year(year_s, path, line)
+        _check_lei(lei, path, line)
+        _warn_country(country, path, line)
+        _warn_country(exp_country, path, line)
+        assets = parse_nonnegative(assets_s, path, line, "total_assets")
+        capital = parse_nonnegative(capital_s, path, line, "capital")
+        amount = parse_nonnegative(exp_s, path, line, "exposure_amount")
 
-            key = (year, lei)
-            pair = (year, lei, exp_country)
-            if pair in seen_pairs:
-                raise InputError(
-                    f"{path}: line {line}: duplicate identifier: lei {lei} listed twice for "
-                    f"{exp_country} in year {year}"
-                )
-            seen_pairs.add(pair)
-            # a year whose exposures sum beyond the float range would give
-            # infinite weights and degrees
-            total = totals.get(year, 0.0) + amount
-            if math.isinf(total):
-                raise InputError(
-                    f"{path}: line {line}: year {year}: exposure amounts sum beyond the float range"
-                )
-            totals[year] = total
-            rec = banks.get(key)
-            if rec is None:
-                banks[key] = BankRecord(lei, name, country, assets, capital, {exp_country: amount})
-            else:
-                if (rec.name, rec.country, rec.total_assets, rec.capital) != (
-                    name,
-                    country,
-                    assets,
-                    capital,
-                ):
-                    raise InputError(
-                        f"{path}: line {line}: duplicate identifier: lei {lei} in year {year} "
-                        f"has conflicting bank-level fields"
-                    )
-                rec.exposures[exp_country] = amount
+        key = (year, lei)
+        pair = (year, lei, exp_country)
+        if pair in seen_pairs:
+            raise InputError(
+                f"{path}: line {line}: duplicate identifier: lei {lei} listed twice for "
+                f"{exp_country} in year {year}"
+            )
+        seen_pairs.add(pair)
+        # a year whose exposures sum beyond the float range would give
+        # infinite weights and degrees
+        total = totals.get(year, 0.0) + amount
+        if math.isinf(total):
+            raise InputError(
+                f"{path}: line {line}: year {year}: exposure amounts sum beyond the float range"
+            )
+        totals[year] = total
+        rec = banks.get(key)
+        if rec is None:
+            banks[key] = BankRecord(lei, name, country, assets, capital, {exp_country: amount})
+        elif (rec.name, rec.country, rec.total_assets, rec.capital) != (name, country, assets, capital):
+            raise InputError(
+                f"{path}: line {line}: duplicate identifier: lei {lei} in year {year} "
+                f"has conflicting bank-level fields"
+            )
+        else:
+            rec.exposures[exp_country] = amount
 
     if not banks:
         raise InputError(f"{path}: no data rows")
@@ -287,13 +339,7 @@ def load_panel(path: str | Path) -> ExposurePanel:
 
 
 def _check_against_manifest(panel: ExposurePanel, mpath: Path) -> None:
-    try:
-        with open_input(mpath) as fh:
-            manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{mpath}: invalid JSON: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise InputError(f"{mpath}: a manifest must be a JSON object, got {manifest!r}")
+    manifest = read_json_object(mpath, "manifest")
     years = manifest.get("years")
     counts = manifest.get("bank_counts", {})
     if years is not None and (not isinstance(years, list) or years != panel.years):
@@ -301,17 +347,11 @@ def _check_against_manifest(panel: ExposurePanel, mpath: Path) -> None:
     if not isinstance(counts, dict):
         raise InputError(f"{mpath}: field 'bank_counts' must map years to bank counts, got {counts!r}")
     for year_s, expected in counts.items():
-        try:
-            year = int(year_s)
-        except ValueError as exc:
-            raise InputError(f"{mpath}: field 'bank_counts': {year_s!r} is not a year") from exc
-        if isinstance(expected, bool) or not isinstance(expected, (int, float)):
-            raise InputError(f"{mpath}: field 'bank_counts': year {year} count {expected!r} is not a number")
+        year = parse_year(year_s, mpath, None, "field 'bank_counts'")
+        expected = json_number(mpath, f"field 'bank_counts': year {year} count", expected, whole=True)
         actual = len(panel.records.get(year, []))
         if actual != expected:
-            raise InputError(
-                f"{mpath}: year {year} expects {expected} banks, data has {actual}"
-            )
+            raise InputError(f"{mpath}: year {year} expects {expected} banks, data has {actual}")
 
 
 def write_panel(panel: ExposurePanel, path: str | Path) -> None:
@@ -342,39 +382,20 @@ def _calibration_field(path: Path, year: int, cfg: dict, key: str):
     if key not in cfg:
         raise InputError(f"{path}: year {year}: missing field {key!r}")
     value = cfg[key]
-    if key == "country_list":
-        if isinstance(value, list) and all(isinstance(c, str) for c in value):
-            return list(value)
-        raise InputError(f"{path}: year {year}: field {key!r} must be a list of country codes")
-    whole = key == "n_banks"
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            x = float(value)
-        except OverflowError:  # an integer beyond the float range
-            x = math.inf
-        if math.isfinite(x) and not (whole and not x.is_integer()):
-            return int(x) if whole else x
-    kind = "a whole number" if whole else "a finite number"
-    raise InputError(f"{path}: year {year}: field {key!r} must be {kind}, got {value!r}")
+    if key != "country_list":
+        return json_number(path, f"year {year}: field {key!r}", value, whole=key == "n_banks")
+    if isinstance(value, list) and all(isinstance(c, str) for c in value):
+        return list(value)
+    raise InputError(f"{path}: year {year}: field {key!r} must be a list of country codes")
 
 
 def load_calibration(path: str | Path) -> dict[int, dict]:
     """Read a synthesis spec (year -> n_banks, total_exposure, country_list)
     from JSON, rejecting a missing or ill-typed field with an InputError."""
     path = Path(path)
-    try:
-        with open_input(path) as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise InputError(f"{path}: a calibration must be a JSON object of years")
     calibration = {}
-    for key, cfg in raw.items():
-        try:
-            year = int(key)
-        except ValueError as exc:
-            raise InputError(f"{path}: years must be integers, got {key!r}") from exc
+    for key, cfg in read_json_object(path, "calibration").items():
+        year = parse_year(key, path, None, "year key")
         if not isinstance(cfg, dict):
             raise InputError(f"{path}: year {year}: entry must be a JSON object, got {cfg!r}")
         calibration[year] = {
@@ -423,7 +444,12 @@ def synthesize_panel(
             raise DomainError(f"year {year}: empty country_list")
 
         draws = rng.lognormal(mean=0.0, sigma=sigma, size=(n, len(countries)))
-        draws *= total / draws.sum()
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            draws *= total / draws.sum()
+        # a large sigma overflows the draws or their sum, which the rescaling
+        # turns into NaN or all zeros
+        if not (np.isfinite(draws).all() and draws.any()):
+            raise DomainError(f"year {year}: sigma {sigma} leaves the float range in the log-normal draws")
         asset_mult = rng.uniform(5.0, 15.0, size=n)
         capital_ratio = rng.uniform(0.08, 0.16, size=n)
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -185,6 +186,25 @@ def test_bad_epsilon_exit_code(tmp_path, capsys):
     rc = main(["analyze", "--series", str(series), "--out", str(tmp_path / "o"), "--epsilon", "2.0"])
     assert rc == 2
     assert "epsilon" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sigma", ["-1", "nan", "inf", "-inf"])
+def test_synth_rejects_sigma_out_of_range(tmp_path, capsys, sigma):
+    rc = main(["synth", f"--sigma={sigma}", "--out", str(tmp_path / "p.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --sigma must be a finite non-negative number") and err.count("\n") == 1, err
+    assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("b", ["50", "-5"])
+def test_did_rejects_bootstrap_b_out_of_range(tmp_path, capsys, b):
+    panel = tmp_path / "panel.csv"
+    assert main(["synth", "--out", str(panel)]) == 0
+    rc = main(["did", "--input", str(panel), "--out", str(tmp_path / "o"), f"--bootstrap-b={b}"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --bootstrap-b must be 0 or at least 100, got {b}\n", err
 
 
 def test_bootstrap_requires_panel(tmp_path, capsys):
@@ -655,6 +675,86 @@ def test_non_utf8_input_names_file_and_line(tmp_path, capsys, loader):
     # every multi-line input has the byte past its first line
     assert line > 1 or loader == "calibration"
     assert data.index(b"\xff") > 8192 or loader != "panel"
+
+
+# each input kind: its file, a valid text of it, and the command that reads it
+SCENARIO = {"shock": {"A": 1.0}, "horizon": 2.0, "dt": 0.2, "capitals": {"A": 1.0, "B": 1.0, "C": 1.0}}
+GOOD_INPUTS = {
+    "panel": ("panel.csv", "year,lei,name,country,total_assets,capital,exposure_country,exposure_amount\n"
+              f"2014,{'A' * 20},Bank A,DE,100,10,FR,1\n2014,{'B' * 20},Bank B,FR,100,10,DE,1\n"),
+    "manifest": ("panel.manifest.json", json.dumps({"years": [2014], "bank_counts": {"2014": 2}})),
+    "edges": ("edges.csv", "year,bank_i,bank_j,weight\n2014,A,B,1.0\n2014,B,C,2.0\n"),
+    "scenario": ("scenario.json", json.dumps(SCENARIO)),
+    "series": ("series.csv", "year,lambda2\n2014,1.5\n2016,2.5\n"),
+    "calibration": ("calib.json", json.dumps({"2014": {"n_banks": 3, "total_exposure": 10.0, "country_list": ["DE"]}})),
+}
+INPUT_ARGV = {
+    "panel": ["build", "--input", "panel.csv"],
+    "manifest": ["build", "--input", "panel.csv"],
+    "edges": ["stress", "--input", "edges.csv", "--scenario", "scenario.json"],
+    "scenario": ["stress", "--input", "edges.csv", "--scenario", "scenario.json"],
+    "series": ["analyze", "--series", "series.csv"],
+    "calibration": ["synth", "--calib", "calib.json"],
+}
+# the last field of a CSV input's last row, which the field cases replace
+LAST_COLUMN = {"panel": "exposure_amount", "edges": "weight", "series": "lambda2"}
+
+
+def bad_csv(kind, case):
+    """A CSV input with one fault, and the message the fault gives."""
+    text = GOOD_INPUTS[kind][1]
+    head = text.split("\n", 1)[0]
+    stem = text.rstrip("\n").rsplit(",", 1)[0]
+    column = LAST_COLUMN[kind]
+    return {
+        "empty file": ("", "empty file"),
+        "bad header": ("x" + text, "header"),
+        "short row": (text + "2014\n", f"line 4: expected {head.count(',') + 1} fields, got 1"),
+        "not a number": (f"{stem},lots\n", f"line 3: column {column}: not a number: 'lots'"),
+        "non-finite value": (f"{stem},inf\n", f"line 3: column {column}: non-finite value 'inf'"),
+        "negative value": (f"{stem},-1\n", f"line 3: column {column}: negative value -1.0"),
+    }[case]
+
+
+def bad_json(kind, case):
+    """A JSON input with one fault, and the message the fault gives."""
+    doc = json.loads(GOOD_INPUTS[kind][1])
+    number = {
+        "manifest": lambda v: doc["bank_counts"].update({"2014": v}),
+        "scenario": lambda v: doc.update(horizon=v),
+        "calibration": lambda v: doc["2014"].update(total_exposure=v),
+    }[kind]
+    if case == "empty file":
+        return "", "invalid JSON"
+    if case == "invalid JSON":
+        return "{", "invalid JSON"
+    if case == "non-object JSON":
+        return "[1, 2]", "must be a JSON object"
+    value = {"bool number": True, "overflowing int": 10**400, "non-finite value": math.nan}[case]
+    number(value)
+    return json.dumps(doc), f"must be a {'whole' if kind == 'manifest' else 'finite'} number, got {value!r}"
+
+
+CSV_CASES = ["empty file", "bad header", "short row", "not a number", "non-finite value", "negative value"]
+JSON_CASES = ["empty file", "invalid JSON", "non-object JSON", "bool number", "overflowing int", "non-finite value"]
+
+
+@pytest.mark.parametrize(
+    "kind, case",
+    [(kind, case) for kind in LAST_COLUMN for case in CSV_CASES]
+    + [(kind, case) for kind in ("manifest", "scenario", "calibration") for case in JSON_CASES],
+)
+def test_input_errors_are_one_line_naming_the_file(tmp_path, capsys, kind, case):
+    for name, text in GOOD_INPUTS.values():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    text, message = (bad_csv if kind in LAST_COLUMN else bad_json)(kind, case)
+    bad = tmp_path / GOOD_INPUTS[kind][0]
+    bad.write_text(text, encoding="utf-8")
+    argv = [str(tmp_path / arg) if "." in arg else arg for arg in INPUT_ARGV[kind]]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1, err
+    assert message in err, err
 
 
 def test_module_entry_point_smoke(tmp_path):

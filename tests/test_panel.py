@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from fragnet.panel import (
     _cell,
     csv_quote,
     load_panel,
+    read_json_object,
     synthesize_panel,
     write_csv,
     write_csv_text,
@@ -248,8 +250,8 @@ def test_manifest_mismatch_detected(tmp_path):
         ('{"years": 5}', "field 'years'"),
         ('{"years": "2014"}', "field 'years'"),
         ('{"bank_counts": [61]}', "field 'bank_counts'"),
-        ('{"bank_counts": {"x2014": 61}}', "field 'bank_counts': 'x2014'"),
-        ('{"bank_counts": {"2014": "2"}}', "field 'bank_counts': year 2014 count '2'"),
+        ('{"bank_counts": {"x2014": 61}}', "field 'bank_counts': not an integer: 'x2014'"),
+        ('{"bank_counts": {"2014": "2"}}', "field 'bank_counts': year 2014 count must be a whole number, got '2'"),
     ],
 )
 def test_malformed_manifest_names_file_and_field(tmp_path, text, field):
@@ -259,6 +261,27 @@ def test_malformed_manifest_names_file_and_field(tmp_path, text, field):
     with pytest.raises(InputError, match=field) as exc:
         load_panel(path)
     assert "p.manifest.json" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[" * 100_000, "maximum recursion depth"),
+        ('{"years": 1' + "0" * 5000 + "}", "integer string conversion"),
+    ],
+)
+def test_json_beyond_the_parsers_limits_is_invalid(tmp_path, text, message):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(InputError, match=f"doc.json: invalid JSON: .*{message}"):
+        read_json_object(path, "manifest")
+
+
+def test_csv_field_beyond_the_parsers_limit_names_the_line(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text(",".join(CSV_HEADER) + '\n"' + "1" * 200_000 + "\n", encoding="utf-8")
+    with pytest.raises(InputError, match="p.csv: line 2: field larger than field limit"):
+        load_panel(path)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +363,13 @@ def test_synthesize_rejects_single_bank():
     spec = {2014: {"n_banks": 1, "total_exposure": 10.0, "country_list": ["DE"]}}
     with pytest.raises(DomainError):
         synthesize_panel(spec, seed=0)
+
+
+@pytest.mark.parametrize("sigma", [400.0, 1e300])
+def test_synthesize_rejects_sigma_that_overflows_the_draws(sigma):
+    # the draws or their sum overflow, and the rescaling made NaN of them
+    with pytest.raises(DomainError, match=re.escape(f"year 2014: sigma {sigma} leaves the float range")):
+        synthesize_panel(CALIB, seed=42, sigma=sigma)
 
 
 def test_synthesized_panel_round_trips(tmp_path):
