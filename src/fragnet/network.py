@@ -19,7 +19,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, InputError
-from .panel import BankRecord, ExposurePanel, _fmt, parse_nonnegative, parse_year, read_csv, write_csv
+from .panel import (
+    BankRecord,
+    ExposurePanel,
+    csv_quote,
+    parse_nonnegative,
+    parse_year,
+    read_csv,
+    write_csv_text,
+)
 
 METHODS = ("equal", "size_weighted", "exposure_weighted")
 
@@ -412,13 +420,19 @@ def network_stats(graph: WeightedGraph) -> NetworkStats:
 
 def graph_to_edge_csv(graph: WeightedGraph, path: str | Path) -> None:
     """Write the strictly positive upper-triangle edges, one row per pair."""
-    rows, cols = np.triu_indices(graph.n, k=1)
-    w = graph.weights[rows, cols]
-    keep = w > 0
-    banks, year = graph.banks, graph.year
-    edges = zip(rows[keep].tolist(), cols[keep].tolist(), w[keep].tolist())
-    write_csv(Path(path), EDGE_HEADER,
-              ([year, banks[i], banks[j], _fmt(x)] for i, j, x in edges))
+    quoted = [csv_quote(bank) for bank in graph.banks]
+    weights = graph.weights
+
+    def chunks():
+        # one chunk of text per upper-triangle row
+        for i in range(graph.n - 1):
+            upper = weights[i, i + 1:]
+            cols = np.flatnonzero(upper > 0)
+            head = f"{graph.year},{quoted[i]},"
+            yield "".join([f"{head}{quoted[j]},{x:.17g}\n"
+                           for j, x in zip((cols + (i + 1)).tolist(), upper[cols].tolist())])
+
+    write_csv_text(Path(path), EDGE_HEADER, chunks())
 
 
 def graph_from_edge_csv(path: str | Path) -> WeightedGraph:

@@ -13,12 +13,12 @@ lists the years and expected bank counts; when present it is checked on load.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -70,31 +70,29 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
-    """Write a UTF-8 CSV table with LF line endings: the header, then the
-    rows of any iterable as they come. Cells are written as given, so
-    callers format floats with `_fmt` or `_cell`."""
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def csv_quote(text: str) -> str:
-    """One CSV cell as `write_csv` writes it: quoted, quotes doubled, where
-    the csv module would quote it (a comma, a double quote, a newline)."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text, ""])
-    return buf.getvalue()[:-2]
+    """One CSV text cell: quoted, with its quotes doubled, where it holds a
+    comma, a double quote, a line feed or a carriage return, and as given
+    otherwise. This is the one quoting rule of every CSV output."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_csv_text(path: Path, header: list[str], chunks) -> None:
-    """`write_csv` for rows the caller has already joined: the header, then
-    each chunk of text as it comes. Chunks end their rows in LF and quote
-    their text cells with `csv_quote`."""
+    """Write a UTF-8 CSV table with LF line endings: the header, then each
+    chunk of text as it comes. Chunks hold whole rows, each ended in LF, with
+    their text cells quoted by `csv_quote`."""
     with path.open("w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
+        fh.write(",".join(map(csv_quote, header)) + "\n")
         fh.writelines(chunks)
+
+
+def write_csv(path: Path, header: list[str], rows) -> None:
+    """`write_csv_text` for a table given as rows of cells, from any
+    iterable as they come. A cell is written as its `str`, so callers format
+    floats with `_fmt` or `_cell`."""
+    write_csv_text(path, header, (",".join([csv_quote(str(c)) for c in row]) + "\n" for row in rows))
 
 
 def write_json(path: Path, doc, indent: int | None = None) -> None:
@@ -166,8 +164,11 @@ def _at(path: Path, line: int | None, column: str) -> str:
 
 def parse_year(text: str, path: Path, line: int | None, column: str = "year") -> int:
     """A year field: one int(), or an InputError naming the file, the line
-    and the column (with no line, `column` names a JSON field)."""
+    and the column (with no line, `column` names a JSON field). An
+    underscore, which int() takes as a digit separator, is refused."""
     try:
+        if "_" in text:
+            raise ValueError(text)
         return int(text)
     except ValueError as exc:
         raise InputError(f"{_at(path, line, column)}: not an integer: {text!r}") from exc
@@ -175,8 +176,11 @@ def parse_year(text: str, path: Path, line: int | None, column: str = "year") ->
 
 def parse_nonnegative(text: str, path: Path, line: int, column: str) -> float:
     """A CSV number field that must be finite and not negative, or an
-    InputError naming the file, the line and the column."""
+    InputError naming the file, the line and the column. An underscore,
+    which float() takes as a digit separator, is refused."""
     try:
+        if "_" in text:
+            raise ValueError(text)
         value = float(text)
     except ValueError as exc:
         raise InputError(f"{_at(path, line, column)}: not a number: {text!r}") from exc
@@ -189,12 +193,21 @@ def parse_nonnegative(text: str, path: Path, line: int, column: str) -> float:
 
 def read_json_object(path: Path, what: str) -> dict:
     """An input JSON document that must be an object. Invalid JSON, a
-    number of more digits or nesting deeper than the parser takes, or
-    another value is an InputError naming the file; `what` names the
-    document."""
+    number of more digits or nesting deeper than the parser takes, an
+    object that repeats a key, or another value is an InputError naming the
+    file; `what` names the document."""
+
+    def unique_keys(pairs):
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise InputError(f"{path}: repeated key {key!r}")
+            doc[key] = value
+        return doc
+
     try:
         with open_input(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=unique_keys)
     except (ValueError, RecursionError) as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -361,14 +374,18 @@ def write_panel(panel: ExposurePanel, path: str | Path) -> None:
     reproduces p exactly.
     """
     path = Path(path)
-    rows = (
-        [year, rec.lei, rec.name, rec.country, _fmt(rec.total_assets), _fmt(rec.capital),
-         exp_country, _fmt(rec.exposures[exp_country])]
-        for year in panel.years
-        for rec in sorted(panel.records[year], key=lambda r: r.lei)
-        for exp_country in sorted(rec.exposures)
-    )
-    write_csv(path, CSV_HEADER, rows)
+    q = lru_cache(maxsize=None)(csv_quote)  # each distinct text cell quoted once
+
+    def chunks():
+        # one chunk of text per bank record
+        for year in panel.years:
+            for rec in sorted(panel.records[year], key=lambda r: r.lei):
+                head = (f"{year},{q(rec.lei)},{q(rec.name)},{q(rec.country)},"
+                        f"{_fmt(rec.total_assets)},{_fmt(rec.capital)},")
+                amounts = rec.exposures
+                yield "".join([f"{head}{q(c)},{float(amounts[c]):.17g}\n" for c in sorted(amounts)])
+
+    write_csv_text(path, CSV_HEADER, chunks())
     doc = {
         "years": panel.years,
         "bank_counts": {str(y): len(panel.records[y]) for y in panel.years},

@@ -1,5 +1,4 @@
 import csv
-import io
 import json
 import math
 import os
@@ -583,8 +582,8 @@ def test_stress_trajectory_quotes_bank_ids_as_the_csv_module_does(tmp_path):
     w = (w + w.T) / 2.0
     np.fill_diagonal(w, 0.0)
     edges = tmp_path / "edges.csv"
-    # every cell quoted: the writer leaves a carriage return bare, which a
-    # reader takes for a line break
+    # every cell quoted: csv.writer of Python 3.10-3.12 leaves a carriage
+    # return bare, which a reader takes for a line break
     with edges.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, quoting=csv.QUOTE_ALL)
         writer.writerow(["year", "bank_i", "bank_j", "weight"])
@@ -603,12 +602,20 @@ def test_stress_trajectory_quotes_bank_ids_as_the_csv_module_does(tmp_path):
     assert read.banks == banks
     res = cascade_stress_test(read, caps, ForcingSpec(np.array([shock.get(b, 0.0) for b in banks]), 0.05), 1.0, 0.07)
     assert res.rounds >= 2
-    expected = io.StringIO()
-    writer = csv.writer(expected, lineterminator="\n")
-    writer.writerow(["time", "bank", "distress"])
-    for t, row in zip(res.times, res.distress):
-        writer.writerows([format(t, ".17g"), b, format(v, ".17g")] for b, v in zip(banks, row) if not np.isnan(v))
-    assert (out / "trajectory.csv").read_bytes() == expected.getvalue().encode("utf-8")
+    # quoted, quotes doubled, where an id holds a comma, a quote, a line feed
+    # or a carriage return; the csv module of Python 3.10-3.12 leaves the
+    # carriage return bare, and 3.13 quotes it
+    cells = ['"A,1"', '"B ""q"""', "Zürich €", '"line\nbreak"', '"cr\rx"', " lead", ""]
+    expected = "time,bank,distress\n" + "".join(
+        f"{t:.17g},{cell},{v:.17g}\n"
+        for t, row in zip(res.times.tolist(), res.distress.tolist())
+        for cell, v in zip(cells, row)
+        if not math.isnan(v)
+    )
+    written = (out / "trajectory.csv").read_bytes()
+    assert written == expected.encode("utf-8")
+    with (out / "trajectory.csv").open(newline="", encoding="utf-8") as fh:
+        assert {row[1] for row in list(csv.reader(fh))[1:]} == set(banks)
 
 
 def test_stress_rejects_distress_beyond_the_float_range(tmp_path, capsys):
@@ -706,6 +713,9 @@ def bad_csv(kind, case):
     head = text.split("\n", 1)[0]
     stem = text.rstrip("\n").rsplit(",", 1)[0]
     column = LAST_COLUMN[kind]
+    # the last row with an underscore after the first digit of its year
+    body, last = text.rstrip("\n").rsplit("\n", 1)
+    year = f"{last[0]}_{last[1:].split(',', 1)[0]}"
     return {
         "empty file": ("", "empty file"),
         "bad header": ("x" + text, "header"),
@@ -713,6 +723,9 @@ def bad_csv(kind, case):
         "not a number": (f"{stem},lots\n", f"line 3: column {column}: not a number: 'lots'"),
         "non-finite value": (f"{stem},inf\n", f"line 3: column {column}: non-finite value 'inf'"),
         "negative value": (f"{stem},-1\n", f"line 3: column {column}: negative value -1.0"),
+        # int() and float() read an underscore as a digit separator
+        "underscore in number": (f"{stem},1_0\n", f"line 3: column {column}: not a number: '1_0'"),
+        "underscore in year": (f"{body}\n{last[0]}_{last[1:]}\n", f"line 3: column year: not an integer: '{year}'"),
     }[case]
 
 
@@ -730,19 +743,42 @@ def bad_json(kind, case):
         return "{", "invalid JSON"
     if case == "non-object JSON":
         return "[1, 2]", "must be a JSON object"
+    if case == "repeated key":
+        # the same key and value once more at the end; json.dumps cannot
+        # write a repeated key
+        key = {"manifest": "years", "scenario": "dt", "calibration": "2014"}[kind]
+        text = json.dumps(doc)
+        return f"{text[:-1]}, {json.dumps(key)}: {json.dumps(doc[key])}}}", f"repeated key {key!r}"
+    if case == "repeated nested key":
+        outer, key = {"manifest": ("bank_counts", "2014"), "scenario": ("capitals", "B"),
+                      "calibration": ("2014", "n_banks")}[kind]
+        text = json.dumps(doc)
+        at = text.index(f'"{outer}": {{') + len(outer) + 5
+        return f"{text[:at]}{json.dumps(key)}: {json.dumps(doc[outer][key])}, {text[at:]}", f"repeated key {key!r}"
+    if case == "underscore in year key":
+        if kind == "manifest":
+            return json.dumps({"bank_counts": {"2_014": 2}}), "field 'bank_counts': not an integer: '2_014'"
+        return json.dumps({"2_014": doc["2014"]}), "year key: not an integer: '2_014'"
     value = {"bool number": True, "overflowing int": 10**400, "non-finite value": math.nan}[case]
     number(value)
     return json.dumps(doc), f"must be a {'whole' if kind == 'manifest' else 'finite'} number, got {value!r}"
 
 
-CSV_CASES = ["empty file", "bad header", "short row", "not a number", "non-finite value", "negative value"]
-JSON_CASES = ["empty file", "invalid JSON", "non-object JSON", "bool number", "overflowing int", "non-finite value"]
+CSV_CASES = [
+    "empty file", "bad header", "short row", "not a number", "non-finite value", "negative value",
+    "underscore in number", "underscore in year",
+]
+JSON_CASES = [
+    "empty file", "invalid JSON", "non-object JSON", "bool number", "overflowing int", "non-finite value",
+    "repeated key", "repeated nested key",
+]
 
 
 @pytest.mark.parametrize(
     "kind, case",
     [(kind, case) for kind in LAST_COLUMN for case in CSV_CASES]
-    + [(kind, case) for kind in ("manifest", "scenario", "calibration") for case in JSON_CASES],
+    + [(kind, case) for kind in ("manifest", "scenario", "calibration") for case in JSON_CASES]
+    + [(kind, "underscore in year key") for kind in ("manifest", "calibration")],
 )
 def test_input_errors_are_one_line_naming_the_file(tmp_path, capsys, kind, case):
     for name, text in GOOD_INPUTS.values():

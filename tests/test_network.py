@@ -409,6 +409,23 @@ def test_edge_csv_round_trip(tmp_path):
     assert back.year == g.year
 
 
+def test_edge_csv_round_trip_of_ids_that_need_quoting(tmp_path):
+    banks = ["A,1", 'B "q"', "line\nbreak", "cr\rx", "crlf\r\ny", " lead", "", "Zürich €"]
+    rng = np.random.default_rng(5)
+    w = rng.uniform(0.5, 2.0, (8, 8))
+    w = np.triu(w, 1) * (rng.uniform(size=(8, 8)) < 0.7)
+    w = w + w.T
+    w[0, 1] = w[1, 0] = 0.1  # every bank in at least one edge
+    w[2:, 0] = w[0, 2:] = 1e-300
+    g = WeightedGraph(banks, w, 2016)
+    path = tmp_path / "edges.csv"
+    graph_to_edge_csv(g, path)
+    back = graph_from_edge_csv(path)
+    assert back.banks == banks
+    assert back.year == 2016
+    assert np.array_equal(back.weights, w)
+
+
 def build_graph_from_records(recs, year=2014, method="equal"):
     return symmetrize(allocate(recs, method), year)
 
