@@ -193,7 +193,7 @@ def cmd_analyze(args) -> int:
                 file=sys.stderr,
             )
         else:
-            for bank, sc in spectral_centralities(graph, directed.factors).items():
+            for bank, sc in spectral_centralities(graph, directed.factors, m.lambda2).items():
                 centrality_rows.append([year, bank, _fmt(sc)])
         if args.spectra:
             spectrum = {"eigenvalues": m.eigenvalues.tolist(), "bank_order": graph.banks, "normalized": False}
@@ -320,42 +320,51 @@ def cmd_did(args) -> int:
     return 0
 
 
+# cells (windows x live banks) of the cascade record per block written
+_RECORD_BLOCK_CELLS = 2**12
+
+
 def cmd_stress(args) -> int:
     graph = graph_from_edge_csv(args.input)
-    if not args.scenario:
-        raise InputError("stress needs --scenario")
     forcing, capitals, horizon, dt = load_scenario(args.scenario, graph)
     result = cascade_stress_test(graph, capitals, forcing, horizon, dt)
     out = _out_dir(args)
-    # one snapshot per window end: the live banks' distress in network
-    # order, sliced once per run of windows that share their live banks
     runs = result.live_runs()
-    history = []
-    for a, b, cols in runs:
-        banks = [graph.banks[c] for c in cols]
-        rows = result.distress[a:b, cols].tolist()
-        history.extend(
-            {"time": t, "distress": dict(zip(banks, row))}
-            for t, row in zip(result.times[a:b].tolist(), rows)
-        )
+
+    def blocks():
+        # the record a bounded block of windows at a time: the window end
+        # times and the live banks' distress in network order, sliced within
+        # a run of windows that share their live banks
+        for a, b, cols in runs:
+            step = max(1, _RECORD_BLOCK_CELLS // len(cols))
+            for start in range(a, b, step):
+                stop = min(start + step, b)
+                yield cols, result.times[start:stop].tolist(), result.distress[start:stop, cols].tolist()
+
+    def history():
+        # one snapshot per window end
+        for cols, times, rows in blocks():
+            banks = [graph.banks[c] for c in cols]
+            yield [{"time": t, "distress": dict(zip(banks, row))} for t, row in zip(times, rows)]
+
     fields = [
         "total_failures", "rounds", "pre_lambda2", "post_lambda2",
         "fragility_change", "stabilization_time",
     ]
     doc = {key: getattr(result, key) for key in fields + ["losses"]}
     doc["failed"] = [{"round": r, "bank": b} for r, b in result.failed]
-    doc["history"] = history
+    doc["history"] = history()
     write_json(out / "cascade.json", doc)
     write_csv(out / "cascade_summary.csv", fields, [[_cell(getattr(result, key)) for key in fields]])
 
     def trajectory():
         # one chunk of text per window; each bank id is quoted once
         quoted = [csv_quote(bank) for bank in graph.banks]
-        for a, b, cols in runs:
+        for cols, times, rows in blocks():
             banks = [quoted[c] for c in cols]
-            for snap in history[a:b]:
-                t = _fmt(snap["time"])
-                yield "".join([f"{t},{bank},{v:.17g}\n" for bank, v in zip(banks, snap["distress"].values())])
+            for t, row in zip(times, rows):
+                t = _fmt(t)
+                yield "".join([f"{t},{bank},{v:.17g}\n" for bank, v in zip(banks, row)])
 
     write_csv_text(out / "trajectory.csv", ["time", "bank", "distress"], trajectory())
     return 0
@@ -444,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stress = sub.add_parser("stress", help="cascade stress test on a built network")
     add_io(p_stress, input_help="edge-list CSV written by build")
-    p_stress.add_argument("--scenario", help="scenario JSON path")
+    p_stress.add_argument("--scenario", required=True, help="scenario JSON path")
     p_stress.set_defaults(func=cmd_stress)
 
     p_synth = sub.add_parser("synth", help="generate a calibrated synthetic panel")

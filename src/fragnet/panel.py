@@ -16,6 +16,7 @@ import csv
 import json
 import math
 import warnings
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -98,12 +99,50 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 def write_json(path: Path, doc, indent: int | None = None) -> None:
     """Write a UTF-8 JSON document with sorted keys, LF line endings and a
     final newline. NaN and infinities raise ValueError: RFC 8259 JSON has no
-    value for them."""
-    text = json.dumps(doc, indent=indent, sort_keys=True, allow_nan=False)
-    with path.open("w", newline="\n", encoding="utf-8") as fh:
-        # two writes: a concatenation would copy a multi-MB document once more
-        fh.write(text)
-        fh.write("\n")
+    value for them.
+
+    At indent=None a top-level value of a dict `doc` may be an iterator of
+    lists. It is written as one JSON array of the lists' items, encoded one
+    list at a time, so the array is never held whole; the bytes are those of
+    the document with the lists joined. Every other value is encoded before
+    the file is opened, so an error there leaves no file, and an error in a
+    streamed list removes the file.
+    """
+    encode = json.JSONEncoder(indent=indent, sort_keys=True, allow_nan=False).encode
+    if indent is None and isinstance(doc, dict) and any(isinstance(v, Iterator) for v in doc.values()):
+        # each member as the text of a one-key object without its braces; a
+        # streamed one as its key and an open array
+        members = [
+            (encode({key: []})[1:-2], doc[key]) if isinstance(doc[key], Iterator)
+            else (encode({key: doc[key]})[1:-1], None)
+            for key in sorted(doc)
+        ]
+        chunks = _streamed_object(members, encode)
+    else:
+        chunks = [encode(doc)]
+    try:
+        with path.open("w", newline="\n", encoding="utf-8") as fh:
+            # a multi-MB document is written as it comes, never concatenated
+            fh.writelines(chunks)
+            fh.write("\n")
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
+
+
+def _streamed_object(members, encode):
+    """The text of a JSON object from `write_json`'s members, chunk by chunk."""
+    yield "{"
+    for k, (text, blocks) in enumerate(members):
+        yield ", " + text if k else text
+        if blocks is not None:
+            sep = ""
+            for block in blocks:
+                if block:
+                    yield sep + encode(block)[1:-1]
+                    sep = ", "
+            yield "]"
+    yield "}"
 
 
 @contextmanager

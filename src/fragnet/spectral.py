@@ -310,7 +310,9 @@ def mixing_time(lambda2: float, epsilon: float) -> float:
 
 
 def spectral_centralities(
-    graph: WeightedGraph, factors: tuple[np.ndarray, np.ndarray] | None = None
+    graph: WeightedGraph,
+    factors: tuple[np.ndarray, np.ndarray] | None = None,
+    base: float | None = None,
 ) -> dict[str, float]:
     """Drop in algebraic connectivity when each bank and its edges are
     removed; needs n >= 3.
@@ -320,13 +322,16 @@ def spectral_centralities(
     densely, unless `factors` gives the allocation's (A, G) (see
     `network.allocate`) and the year has at least _LOW_RANK_MIN_BANKS banks:
     then every remainder that `_leave_one_out_lambda2` certifies is solved on
-    the low-rank form, and only the others densely.
+    the low-rank form, and only the others densely. `base` is the full
+    graph's lambda2 where the caller already holds it, as `fragility_metrics`
+    gives it; else it is solved here.
     """
     if graph.n < 3:
         raise DomainError("spectral centrality needs at least 3 banks")
     graph.validate()
     w = graph.weights
-    base = lambda2(w)
+    if base is None:
+        base = lambda2(w)
     loo = np.full(graph.n, np.nan)
     if factors is not None and graph.n >= _LOW_RANK_MIN_BANKS:
         loo = _leave_one_out_lambda2(w, *factors)

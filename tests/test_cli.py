@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -11,10 +12,11 @@ import numpy as np
 import pytest
 
 from conftest import bank, graph_of, strict_json
-from fragnet.cli import main
+from fragnet import cli
+from fragnet.cli import DEFAULT_CALIBRATION, main
 from fragnet.diffusion import ForcingSpec, cascade_stress_test
 from fragnet.network import build_graph, graph_from_edge_csv, graph_to_edge_csv
-from fragnet.panel import ExposurePanel, load_panel, write_panel
+from fragnet.panel import ExposurePanel, load_panel, synthesize_panel, write_panel
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -538,9 +540,12 @@ def test_stress_requires_scenario(tmp_path, capsys):
     g = graph_of([[0, 1], [1, 0]], banks=["A", "B"])
     edges = tmp_path / "edges.csv"
     graph_to_edge_csv(g, edges)
-    rc = main(["stress", "--input", str(edges), "--out", str(tmp_path / "o")])
-    assert rc == 2
-    assert "scenario" in capsys.readouterr().err
+    # argparse refuses the call before the edge list is read
+    with pytest.raises(SystemExit) as exc:
+        main(["stress", "--input", str(edges), "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "--scenario" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_stress_cascade_json_matches_library_result(tmp_path):
@@ -573,6 +578,56 @@ def test_stress_cascade_json_matches_library_result(tmp_path):
     assert trajectory == [
         (snap["time"], b, v) for snap in doc["history"] for b, v in snap["distress"].items()
     ]
+
+
+def long_cascade(tmp_path, windows=2000):
+    """Edge list and scenario of a cascade on the paper's 61-bank 2014
+    network: three banks shocked at a combined rate of 61 per unit time, the
+    others on a permuted ladder of capitals from 0.01 to 5, so that most of
+    them fail over `windows` windows."""
+    panel = synthesize_panel({2014: DEFAULT_CALIBRATION[2014]}, seed=42)
+    graph = build_graph(panel, 2014)
+    edges = tmp_path / "edges.csv"
+    graph_to_edge_csv(graph, edges)
+    order = np.random.default_rng(42).permutation(graph.n).tolist()
+    capitals = dict(zip([graph.banks[i] for i in order[3:]], np.geomspace(0.01, 5.0, graph.n - 3).tolist()))
+    shocked = [graph.banks[i] for i in order[:3]]
+    capitals.update(dict.fromkeys(shocked, 1e3))
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(
+        json.dumps({"shock": dict.fromkeys(shocked, graph.n / 3), "onset": 0.05, "horizon": 1.0,
+                    "dt": 1.0 / windows, "capitals": capitals}),
+        encoding="utf-8",
+    )
+    return ["stress", "--input", str(edges), "--scenario", str(scenario)]
+
+
+def test_stress_outputs_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
+    argv = long_cascade(tmp_path, windows=300)
+    # one block per run of windows, blocks of one window, and blocks that
+    # end inside runs of windows
+    for cells in (10**9, 1, 100):
+        monkeypatch.setattr(cli, "_RECORD_BLOCK_CELLS", cells)
+        assert main(argv + ["--out", str(tmp_path / f"cells{cells}")]) == 0
+        for name in ("cascade.json", "trajectory.csv", "cascade_summary.csv"):
+            whole = (tmp_path / "cells1000000000" / name).read_bytes()
+            assert (tmp_path / f"cells{cells}" / name).read_bytes() == whole, name
+    doc = strict_json(tmp_path / "cells1" / "cascade.json")
+    assert len(doc["history"]) == 301 and doc["total_failures"] > 20
+
+
+def test_stress_memory_on_a_2000_window_cascade(tmp_path):
+    argv = long_cascade(tmp_path) + ["--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 2.1 MB with the record written in blocks; 9.6 MB with the whole
+    # history built as snapshots and one JSON string
+    assert peak < 4e6
 
 
 def test_stress_trajectory_quotes_bank_ids_as_the_csv_module_does(tmp_path):

@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 
 from conftest import strict_json
 from fragnet.cli import main
+from fragnet.diffusion import cascade_stress_test, load_scenario
+from fragnet.network import graph_from_edge_csv
 from fragnet.panel import CSV_HEADER
 
 BANKS = ["A", "B", "C", "D"]
@@ -85,12 +87,35 @@ def edge_lists(draw):
 
 
 def run_stress(edges: str, scenario: str) -> int:
+    """The exit code of `fragnet stress`; a run that succeeds has written
+    the cascade.json of `cascade_document`."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "edges.csv").write_text(edges, encoding="utf-8")
         (tmp / "scenario.json").write_text(scenario, encoding="utf-8")
-        return main(["stress", "--input", str(tmp / "edges.csv"),
-                     "--scenario", str(tmp / "scenario.json"), "--out", str(tmp / "out")])
+        rc = main(["stress", "--input", str(tmp / "edges.csv"),
+                   "--scenario", str(tmp / "scenario.json"), "--out", str(tmp / "out")])
+        if rc == 0:
+            written = (tmp / "out" / "cascade.json").read_bytes()
+            assert written == cascade_document(tmp / "edges.csv", tmp / "scenario.json")
+        return rc
+
+
+def cascade_document(edges: Path, scenario: Path) -> bytes:
+    """cascade.json as one `json.dumps` of the whole document, its history
+    built here window by window from the library's record."""
+    graph = graph_from_edge_csv(edges)
+    forcing, capitals, horizon, dt = load_scenario(scenario, graph)
+    res = cascade_stress_test(graph, capitals, forcing, horizon, dt)
+    keys = ["total_failures", "rounds", "pre_lambda2", "post_lambda2", "fragility_change",
+            "stabilization_time", "losses"]
+    doc = {key: getattr(res, key) for key in keys}
+    doc["failed"] = [{"round": r, "bank": b} for r, b in res.failed]
+    doc["history"] = [
+        {"time": t, "distress": {b: v for b, v in zip(graph.banks, row) if not math.isnan(v)}}
+        for t, row in zip(res.times.tolist(), res.distress.tolist())
+    ]
+    return (json.dumps(doc, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import warnings
@@ -340,6 +341,75 @@ def test_write_json_sorts_keys_and_refuses_nan(tmp_path):
         with pytest.raises(ValueError):
             write_json(tmp_path / "bad.json", {"v": [bad]})
     assert not (tmp_path / "bad.json").exists()
+
+
+# bank ids that JSON escapes: a quote, a backslash, a control character,
+# non-ASCII text and the empty string
+ESCAPED_IDS = ['q"uote', "back\\slash", "ctl\x01\t", "Zürich €", "", "plain"]
+
+
+def record(windows, fails):
+    """Snapshots of a cascade record: bank k is live in windows 0 to
+    fails[k], or in every window where fails[k] is None."""
+    return [
+        {
+            "time": 0.1 * t,
+            "distress": {
+                b: t * 0.7 + k / 3.0 for k, b in enumerate(ESCAPED_IDS) if fails[k] is None or t <= fails[k]
+            },
+        }
+        for t in range(windows)
+    ]
+
+
+def in_blocks(history, size):
+    """The snapshots as an iterator of lists of at most `size`, with an
+    empty list first."""
+    yield []
+    for start in range(0, len(history), size):
+        yield history[start:start + size]
+
+
+STREAM_CASES = {
+    # one run of windows, one block
+    "no failure": (record(5, [None] * 6), 5),
+    "failure in the last window": (record(6, [None, 4, None, None, None, None]), 6),
+    # every bank gone by window 3, which ends the record
+    "every bank failing early": (record(4, [0, 1, 2, 3, 3, 3]), 4),
+    "block boundary inside a run": (record(9, [None, 2, None, 6, None, None]), 2),
+    "one window per block": (record(4, [1, None, None, None, 2, None]), 1),
+    "empty iterator": ([], 3),
+}
+
+
+@pytest.mark.parametrize("key", ["a", "history", "z"])
+@pytest.mark.parametrize("case", sorted(STREAM_CASES))
+def test_write_json_streams_a_value_as_json_dumps_writes_it(tmp_path, case, key):
+    history, size = STREAM_CASES[case]
+    others = {"failed": [{"bank": b, "round": 1} for b in ESCAPED_IDS], "losses": dict.fromkeys(ESCAPED_IDS, 0.5)}
+    path = tmp_path / "d.json"
+    write_json(path, {**others, key: in_blocks(history, size)})
+    expected = json.dumps({**others, key: history}, sort_keys=True, allow_nan=False) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
+    write_json(path, {key: in_blocks(history, size)})
+    assert path.read_bytes() == (json.dumps({key: history}, sort_keys=True) + "\n").encode("utf-8")
+
+
+def test_write_json_encodes_every_other_value_before_the_file(tmp_path):
+    started = []
+
+    def history():
+        started.append(True)
+        yield [{"time": 0.0}]
+
+    path = tmp_path / "bad.json"
+    with pytest.raises(ValueError):
+        write_json(path, {"history": history(), "z": [math.nan]})
+    assert not path.exists() and not started
+    # a NaN in a streamed list removes the part written
+    with pytest.raises(ValueError):
+        write_json(path, {"history": iter([[1.0], [math.inf]]), "z": 1})
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -380,8 +380,11 @@ def test_centralities_match_the_reference_at_paper_size(seed, monkeypatch):
     for year in panel.years:
         for method in CLI_METHODS:
             graph, factors = allocated(panel.records[year], method)
-            # paper-size years take the dense loop, factors or not
+            # paper-size years take the dense loop, factors or not; the
+            # fragility metrics' lambda2 is the same bits as the solve's
             assert spectral_centralities(graph, factors) == spectral_centralities(graph)
+            base = fragility_metrics(graph).lambda2
+            assert spectral_centralities(graph, factors, base) == spectral_centralities(graph)
             assert_matches_reference(graph, spectral_centralities(graph), f"{year} {method}")
     # the low-rank solve below its switch size
     monkeypatch.setattr(spectral, "_LOW_RANK_MIN_BANKS", 3)
@@ -402,7 +405,9 @@ def test_centralities_match_the_reference_at_scaled_size():
             graph, factors = allocated(panel.records[year], method)
             if graph.n >= spectral._LOW_RANK_MIN_BANKS:
                 assert certified(graph, factors).all(), f"{year} {method}"
-            assert_matches_reference(graph, spectral_centralities(graph, factors), f"{year} {method}")
+            cents = spectral_centralities(graph, factors)
+            assert spectral_centralities(graph, factors, fragility_metrics(graph).lambda2) == cents
+            assert_matches_reference(graph, cents, f"{year} {method}")
 
 
 def core_banks():
