@@ -22,12 +22,10 @@ from .network import (
 )
 from .spectral import (
     FragilityMetrics,
-    complete_graph_lambda2,
     fragility_metrics,
     lambda2,
     lambda2_batch,
     mixing_time,
-    quadratic_form,
     spectral_centralities,
 )
 from .diffusion import (
@@ -35,7 +33,6 @@ from .diffusion import (
     DistressState,
     ForcingSpec,
     amplification_bound,
-    ate_trajectory,
     cascade_stress_test,
     evolve,
     evolve_forced,
@@ -54,7 +51,6 @@ from .inference import (
     ols_trend,
     placebo_test,
     policy_calculators,
-    subgroup_lambda2,
 )
 
 __all__ = [
@@ -76,12 +72,10 @@ __all__ = [
     "WeightedGraph",
     "allocate",
     "amplification_bound",
-    "ate_trajectory",
     "balanced_panel",
     "bootstrap_did",
     "build_graph",
     "cascade_stress_test",
-    "complete_graph_lambda2",
     "consolidation_elasticity",
     "did_detrended",
     "did_level",
@@ -98,9 +92,7 @@ __all__ = [
     "ols_trend",
     "placebo_test",
     "policy_calculators",
-    "quadratic_form",
     "spectral_centralities",
-    "subgroup_lambda2",
     "symmetrize",
     "synthesize_panel",
     "validate_conservation",

@@ -281,7 +281,6 @@ def cmd_did(args) -> int:
             B=args.bootstrap_b,
             seed=args.seed,
             method=args.method,
-            variant="level",
             pre_years=pre,
             post_years=post,
         )
@@ -408,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--method",
             choices=["equal", "size", "exposure"],
-            default="equal",
+            # resolved in main, so that a --method given with --series is refused
+            default=None,
             help="allocation method (default: equal)",
         )
 
@@ -470,12 +470,23 @@ def build_parser() -> argparse.ArgumentParser:
 _METHOD_NAMES = {"equal": "equal", "size": "size_weighted", "exposure": "exposure_weighted"}
 
 
+def _refuse_network_flags(args) -> None:
+    """A series stands in for the networks, so no flag that shapes them
+    applies to it."""
+    if args.method is not None:
+        raise InputError("--method applies to --input only, not to --series")
+    if getattr(args, "spectra", False):
+        raise InputError("--spectra applies to --input only, not to --series")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "method"):
-        args.method = _METHOD_NAMES[args.method]
     try:
+        if getattr(args, "series", None):
+            _refuse_network_flags(args)
+        if hasattr(args, "method"):
+            args.method = _METHOD_NAMES[args.method or "equal"]
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -161,18 +161,6 @@ def evolve_forced(
     return DistressState(stepper.advance(x, forcing.onset, x0.time, t), t)
 
 
-def ate_trajectory(ate_infinity: float, lambda2: float, t_grid) -> list[float]:
-    """Saturating treatment-effect path ATE_inf * (1 - exp(-lambda2 t))."""
-    if lambda2 <= 0:
-        raise DomainError(f"lambda2 must be positive, got {lambda2}")
-    out = []
-    for t in t_grid:
-        if t < 0:
-            raise DomainError(f"negative time {t}")
-        out.append(ate_infinity * -math.expm1(-lambda2 * t))
-    return out
-
-
 def amplification_bound(lambda2_pre: float, lambda2_post: float, alpha: float) -> float:
     """Lower bound 1 + alpha (lambda2_post / lambda2_pre - 1) for the
     persistent-to-immediate effect ratio after a structural change."""

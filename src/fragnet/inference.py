@@ -1,8 +1,8 @@
 """Treatment-effect estimation on a fragility series.
 
 Implements the level and detrended difference estimators, the
-bank-resampling percentile bootstrap, placebo repartitions, balanced-panel
-and subgroup restrictions, the consolidation elasticity, and the policy
+bank-resampling percentile bootstrap, placebo repartitions, the
+balanced-panel restriction, the consolidation elasticity, and the policy
 calculators built on spectral centrality.
 """
 
@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DomainError, InputError
 from .network import WeightedGraph, YearArrays, allocate_arrays, year_arrays
 from .panel import ExposurePanel, parse_nonnegative, parse_year, read_csv
-from .spectral import lambda2, lambda2_quotient, stack_members
+from .spectral import lambda2_quotient, stack_members
 
 # fewest bootstrap replications whose percentile interval is reported
 MIN_BOOTSTRAP_B = 100
@@ -80,7 +80,6 @@ class DidEstimate:
 class BootstrapResult:
     B: int
     master_seed: int
-    variant: str
     method: str
     pre_years: tuple[int, ...]
     post_years: tuple[int, ...]
@@ -213,16 +212,6 @@ def balanced_panel(panel: ExposurePanel) -> ExposurePanel:
     return ExposurePanel(years=list(panel.years), records=records)
 
 
-def subgroup_lambda2(graph: WeightedGraph, members: set[str]) -> float:
-    """Algebraic connectivity of the node-induced subgraph."""
-    members = set(members)
-    if len(members) < 2:
-        raise DomainError("a subgroup needs at least 2 banks")
-    keep = sorted(graph.index(b) for b in members)
-    graph.validate()
-    return lambda2(graph.weights[np.ix_(keep, keep)])
-
-
 def consolidation_elasticity(stats_a: dict, stats_b: dict) -> dict[str, float]:
     """Observed and predicted elasticity of lambda2 with respect to bank count.
 
@@ -346,11 +335,10 @@ def bootstrap_did(
     B: int,
     seed: int,
     method: str = "equal",
-    variant: str = "level",
     pre_years=(2014, 2016, 2018),
     post_years=(2021, 2023),
 ) -> BootstrapResult:
-    """Percentile bootstrap of the treatment effects by resampling banks.
+    """Percentile bootstrap of the level treatment effects by resampling banks.
 
     Per replicate and per year, n_t banks are drawn with replacement from
     that year's n_t banks; a bank drawn k times enters the rebuilt network
@@ -368,14 +356,10 @@ def bootstrap_did(
     """
     if B < MIN_BOOTSTRAP_B:
         raise DomainError(f"bootstrap needs B >= {MIN_BOOTSTRAP_B}, got {B}")
-    if variant not in ("level", "detrended"):
-        raise InputError(f"unknown estimator variant {variant!r}")
     pre_years = tuple(sorted(int(y) for y in pre_years))
     post_years = tuple(sorted(int(y) for y in post_years))
     if set(pre_years) & set(post_years):
         raise DomainError("pre and post years overlap")
-    if variant == "detrended" and len(pre_years) < 2:
-        raise DomainError("detrended bootstrap needs at least 2 pre-years")
     all_years = pre_years + post_years
     missing = [y for y in all_years if y not in panel.records]
     if missing:
@@ -394,15 +378,8 @@ def bootstrap_did(
 
     lam2 = {y: lambda2_of_resamples(arrays[y], method, draws[y]) for y in all_years}
 
-    if variant == "level":
-        alpha = sum(lam2[y] for y in pre_years) / len(pre_years)
-        betas = {y: lam2[y] - alpha for y in post_years}
-    else:
-        betas = {y: np.empty(B) for y in post_years}
-        for b in range(B):
-            trend = ols_trend([(float(y), float(lam2[y][b])) for y in pre_years])
-            for y in post_years:
-                betas[y][b] = lam2[y][b] - (trend["gamma0"] + trend["gamma1"] * y)
+    alpha = sum(lam2[y] for y in pre_years) / len(pre_years)
+    betas = {y: lam2[y] - alpha for y in post_years}
 
     ci = {}
     p_values = {}
@@ -417,7 +394,6 @@ def bootstrap_did(
     return BootstrapResult(
         B=B,
         master_seed=master,
-        variant=variant,
         method=method,
         pre_years=pre_years,
         post_years=post_years,
@@ -467,7 +443,7 @@ def bootstrap_to_dict(result: BootstrapResult) -> dict:
     return {
         "B": result.B,
         "master_seed": result.master_seed,
-        "variant": result.variant,
+        "variant": "level",
         "method": result.method,
         "pre_years": list(result.pre_years),
         "post_years": list(result.post_years),

@@ -37,6 +37,9 @@ EDGE_HEADER = ["year", "bank_i", "bank_j", "weight"]
 # half its bits to cancellation
 _CANCELLATION = 2.0**-26
 
+# relative tolerance of the conservation checks in `validate_conservation`
+_CONSERVATION_TOL = 1e-9
+
 
 @dataclass
 class YearArrays:
@@ -346,7 +349,6 @@ def validate_conservation(
     graph: WeightedGraph,
     directed: DirectedExposureMatrix,
     records: list[BankRecord],
-    rel_tol: float = 1e-9,
 ) -> ValidationReport:
     """Check total and per-bank exposure conservation of a built network.
 
@@ -360,7 +362,7 @@ def validate_conservation(
     total_directed = float(directed.entries.sum())
     total_graph = float(graph.weights.sum())
     scale = max(abs(total_directed), 1.0)
-    if abs(total_graph - total_directed) > rel_tol * scale:
+    if abs(total_graph - total_directed) > _CONSERVATION_TOL * scale:
         failures.append(
             f"total-weight discrepancy of {total_graph - total_directed:g} "
             f"(graph {total_graph:g} vs directed {total_directed:g})"
@@ -374,7 +376,7 @@ def validate_conservation(
         if not placed.keys() <= eligible:
             placed = {code: a for code, a in placed.items() if code in eligible}
         expected = float(sum(placed.values()))
-        if abs(row_sums[i] - expected) > rel_tol * max(abs(expected), 1.0):
+        if abs(row_sums[i] - expected) > _CONSERVATION_TOL * max(abs(expected), 1.0):
             failures.append(
                 f"bank {rec.lei}: allocated {float(row_sums[i]):g}, expected {expected:g}"
             )

@@ -330,7 +330,6 @@ def load_panel(path: str | Path) -> ExposurePanel:
     """
     path = Path(path)
     banks: dict[tuple[int, str], BankRecord] = {}
-    seen_pairs: set[tuple[int, str, str]] = set()
     totals: dict[int, float] = {}
 
     for line, row in read_csv(path, CSV_HEADER, "panel"):
@@ -344,13 +343,12 @@ def load_panel(path: str | Path) -> ExposurePanel:
         amount = parse_nonnegative(exp_s, path, line, "exposure_amount")
 
         key = (year, lei)
-        pair = (year, lei, exp_country)
-        if pair in seen_pairs:
+        rec = banks.get(key)
+        if rec is not None and exp_country in rec.exposures:
             raise InputError(
                 f"{path}: line {line}: duplicate identifier: lei {lei} listed twice for "
                 f"{exp_country} in year {year}"
             )
-        seen_pairs.add(pair)
         # a year whose exposures sum beyond the float range would give
         # infinite weights and degrees
         total = totals.get(year, 0.0) + amount
@@ -359,7 +357,6 @@ def load_panel(path: str | Path) -> ExposurePanel:
                 f"{path}: line {line}: year {year}: exposure amounts sum beyond the float range"
             )
         totals[year] = total
-        rec = banks.get(key)
         if rec is None:
             banks[key] = BankRecord(lei, name, country, assets, capital, {exp_country: amount})
         elif (rec.name, rec.country, rec.total_assets, rec.capital) != (name, country, assets, capital):

@@ -504,24 +504,3 @@ def _secular_roots(rows, kept, A, G, terms, lo, hi, tol):
             break
     return out
 
-
-def complete_graph_lambda2(n: int, total_exposure: float) -> float:
-    """Closed form for a uniform complete graph: 2 E / (n - 1).
-
-    Decreasing n at constant total exposure raises the value, which is the
-    consolidation effect the rest of the package measures empirically.
-    """
-    if n < 2:
-        raise DomainError(f"need at least 2 banks, got {n}")
-    if total_exposure < 0:
-        raise DomainError(f"total exposure must be non-negative, got {total_exposure}")
-    return 2.0 * total_exposure / (n - 1)
-
-
-def quadratic_form(graph: WeightedGraph, x: np.ndarray) -> float:
-    """Half the weighted sum of squared endpoint differences, equal to x'Lx."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (graph.n,):
-        raise DomainError(f"vector length {x.shape} does not match {graph.n} banks")
-    diff = x[:, None] - x[None, :]
-    return float(0.5 * np.sum(graph.weights * diff * diff))

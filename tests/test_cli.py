@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fragnet
 from conftest import bank, graph_of, strict_json
 from fragnet import cli
 from fragnet.cli import DEFAULT_CALIBRATION, main
@@ -234,6 +235,25 @@ def test_series_and_input_are_mutually_exclusive(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "--series" in err and "--input" in err, argv
     assert not (tmp_path / "o").exists()
+
+
+def test_series_refuses_network_flags(tmp_path, capsys):
+    # a series has no networks to allocate or decompose
+    series = write_series(tmp_path / "series.csv")
+    out = str(tmp_path / "o")
+    for command, flags, named in (
+        ("analyze", ["--spectra"], "--spectra"),
+        ("analyze", ["--method", "equal"], "--method"),
+        ("did", ["--method", "size"], "--method"),
+        ("did", ["--method", "equal", "--placebo", "2016"], "--method"),
+    ):
+        rc = main([command, "--series", str(series), "--out", out, *flags])
+        assert rc == 2, flags
+        assert capsys.readouterr().err == f"error: {named} applies to --input only, not to --series\n"
+    assert not (tmp_path / "o").exists()
+    # without the flag the method still defaults to equal, and a series run succeeds
+    assert main(["analyze", "--series", str(series), "--out", out]) == 0
+    assert main(["did", "--series", str(series), "--out", out]) == 0
 
 
 def test_failed_did_writes_nothing(tmp_path):
@@ -882,6 +902,15 @@ def test_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_readme_library_block_imports_and_exports_resolve():
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md: Library", "exec"), {})
+    missing = [name for name in fragnet.__all__ if not hasattr(fragnet, name)]
+    assert not missing
 
 
 def test_bootstrap_identical_at_one_and_two_blas_threads(tmp_path):

@@ -15,7 +15,6 @@ from fragnet.diffusion import (
     DistressState,
     ForcingSpec,
     amplification_bound,
-    ate_trajectory,
     cascade_stress_test,
     evolve,
     evolve_forced,
@@ -192,22 +191,7 @@ def test_forced_domain_errors():
 
 
 # ---------------------------------------------------------------------------
-# treatment-effect path and amplification bound
-
-
-def test_ate_trajectory_shape():
-    path = ate_trajectory(10.0, 2.0, [0.0, math.log(2) / 2, 100.0])
-    assert path[0] == 0.0
-    assert path[1] == pytest.approx(5.0)
-    assert path[2] == pytest.approx(10.0)
-    assert path == sorted(path)
-
-
-def test_ate_trajectory_errors():
-    with pytest.raises(DomainError):
-        ate_trajectory(1.0, 0.0, [1.0])
-    with pytest.raises(DomainError):
-        ate_trajectory(1.0, 1.0, [-0.5])
+# amplification bound
 
 
 def test_amplification_bound_algebra():

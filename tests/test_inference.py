@@ -22,7 +22,6 @@ from fragnet.inference import (
     ols_trend,
     placebo_test,
     policy_calculators,
-    subgroup_lambda2,
 )
 from fragnet.network import METHODS, allocate, symmetrize, year_arrays
 from fragnet.panel import ExposurePanel, synthesize_panel
@@ -207,15 +206,6 @@ def test_balanced_panel_needs_two_common_banks():
         balanced_panel(ExposurePanel(years=[2014, 2023], records=recs))
 
 
-def test_subgroup_lambda2_of_complete_graph():
-    g = complete_graph(4, 1.0)
-    assert subgroup_lambda2(g, {"N0", "N1", "N2"}) == pytest.approx(3.0)
-    with pytest.raises(DomainError):
-        subgroup_lambda2(g, {"N0"})
-    with pytest.raises(DomainError):
-        subgroup_lambda2(g, {"N0", "missing"})
-
-
 # ---------------------------------------------------------------------------
 # elasticity
 
@@ -314,25 +304,14 @@ def test_bootstrap_summary_matches_replicates():
         assert 0.0 <= boot.p_values[year] <= 1.0
 
 
-def test_bootstrap_detrended_variant_runs():
-    panel = synthesize_panel(tiny_calibration(), seed=7)
-    boot = bootstrap_did(panel, B=100, seed=2, variant="detrended")
-    assert boot.variant == "detrended"
-    assert set(boot.replicates) == set(POST)
-
-
 def test_bootstrap_argument_errors():
     panel = synthesize_panel(tiny_calibration(), seed=1)
     with pytest.raises(DomainError):
         bootstrap_did(panel, B=99, seed=1)
-    with pytest.raises(InputError, match="variant"):
-        bootstrap_did(panel, B=100, seed=1, variant="jackknife")
     with pytest.raises(DomainError, match="overlap"):
         bootstrap_did(panel, B=100, seed=1, pre_years=(2014, 2021), post_years=(2021,))
     with pytest.raises(InputError, match="2007"):
         bootstrap_did(panel, B=100, seed=1, pre_years=(2007, 2014), post_years=(2021,))
-    with pytest.raises(DomainError, match="2 pre-years"):
-        bootstrap_did(panel, B=100, seed=1, variant="detrended", pre_years=(2014,), post_years=(2021,))
 
 
 def test_bootstrap_persistent_effect_detected_more_often_on_table_shape():
@@ -432,6 +411,7 @@ def test_bootstrap_to_dict_fields():
     boot = bootstrap_did(panel, B=100, seed=4)
     doc = bootstrap_to_dict(boot)
     assert doc["B"] == 100 and doc["master_seed"] == 4
+    assert doc["variant"] == "level"
     assert set(doc["ci"]) == {"2021", "2023"}
     assert doc["disconnected"] == {str(y): 0 for y in PRE + POST}
     assert "replicates" not in doc

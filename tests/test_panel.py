@@ -122,17 +122,25 @@ def test_duplicate_lei_same_year(tmp_path):
 
 def test_repeated_exposure_country_is_duplicate(tmp_path):
     p = tmp_path / "p.csv"
-    write_rows(
-        p,
-        [
-            [2014, lei("aa"), "Bank A", "DE", 120.0, 12.0, "FR", 10.0],
-            [2014, lei("aa"), "Bank A", "DE", 120.0, 12.0, "FR", 3.0],
-            [2014, lei("bb"), "Bank B", "FR", 80.0, 8.0, "DE", 4.0],
-        ],
-    )
-    with pytest.raises(InputError, match="duplicate") as err:
-        load_panel(p)
-    assert str(err.value).startswith(f"{p}: line 3: ")
+    # the repeated country is reported even where the repeat's bank-level
+    # fields also conflict with the first row's
+    for repeat in (
+        [2014, lei("aa"), "Bank A", "DE", 120.0, 12.0, "FR", 3.0],
+        [2014, lei("aa"), "Bank A again", "IT", 90.0, 9.0, "FR", 3.0],
+    ):
+        write_rows(
+            p,
+            [
+                [2014, lei("aa"), "Bank A", "DE", 120.0, 12.0, "FR", 10.0],
+                repeat,
+                [2014, lei("bb"), "Bank B", "FR", 80.0, 8.0, "DE", 4.0],
+            ],
+        )
+        with pytest.raises(InputError) as err:
+            load_panel(p)
+        assert str(err.value) == (
+            f"{p}: line 3: duplicate identifier: lei {lei('aa')} listed twice for FR in year 2014"
+        ), repeat
 
 
 def test_negative_exposure_cites_row_and_column(tmp_path):

@@ -18,7 +18,6 @@ from fragnet.network import allocate, symmetrize
 from fragnet.panel import synthesize_panel
 from fragnet.spectral import (
     DISCONNECT_TOL,
-    complete_graph_lambda2,
     eigenbasis,
     fragility_metrics,
     lambda2,
@@ -26,7 +25,6 @@ from fragnet.spectral import (
     lambda2_cut_bounds,
     lambda2_quotient,
     mixing_time,
-    quadratic_form,
     spectral_centralities,
     stack_members,
 )
@@ -489,53 +487,17 @@ def test_centrality_kernel_memory_on_a_240_bank_year():
 
 
 # ---------------------------------------------------------------------------
-# closed form
-
-
-def test_complete_graph_closed_form():
-    assert complete_graph_lambda2(2, 3.0) == pytest.approx(6.0)
-    g = complete_graph(5, 2.0)
-    total = float(g.weights.sum() / 2.0)
-    assert lambda2(g.weights) == pytest.approx(complete_graph_lambda2(5, total), rel=1e-12)
-
-
-def test_consolidation_factor_at_constant_exposure():
-    e = 79317.0 / 2
-    factor = complete_graph_lambda2(33, e) / complete_graph_lambda2(61, e)
-    assert factor == pytest.approx(60 / 32, rel=1e-12)
-
-
-def test_closed_form_domain_errors():
-    with pytest.raises(DomainError):
-        complete_graph_lambda2(1, 5.0)
-    with pytest.raises(DomainError):
-        complete_graph_lambda2(4, -1.0)
-
-
-# ---------------------------------------------------------------------------
-# quadratic form
-
-
-def test_quadratic_form_matches_matrix(rng):
-    g = random_connected(rng, 6)
-    lap = oracles.laplacian(g.weights)
-    for _ in range(3):
-        x = rng.normal(size=6)
-        assert quadratic_form(g, x) == pytest.approx(x @ lap @ x, rel=1e-9)
-
-
-def test_quadratic_form_rejects_wrong_length():
-    with pytest.raises(DomainError):
-        quadratic_form(complete_graph(3), np.ones(4))
+# Rayleigh quotient
 
 
 def test_rayleigh_quotient_bounded_below_by_lambda2(rng):
     g = random_connected(rng, 8)
     lam2 = lambda2(g.weights)
+    lap = oracles.laplacian(g.weights)
     for _ in range(10):
         x = rng.normal(size=8)
         x -= x.mean()
-        q = quadratic_form(g, x) / float(x @ x)
+        q = float(x @ lap @ x) / float(x @ x)
         assert q >= lam2 * (1 - 1e-9)
 
 
