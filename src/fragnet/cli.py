@@ -2,15 +2,19 @@
 
 Subcommands: build, analyze, did, stress, synth. Every command writes
 deterministic files (17-significant-digit floats, LF line endings, no
-timestamps), so reruns with identical inputs are byte-identical.
+timestamps), so reruns with identical inputs are byte-identical. `stress`
+writes trajectory.csv and cascade.json's history in one pass over the
+cascade record, each value formatted once and the same text in both.
 Exit codes: 0 success, 1 computation-domain error, 2 I/O or config error.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 from . import __version__
@@ -41,11 +45,11 @@ from .panel import (
     _cell,
     _fmt,
     csv_quote,
+    csv_table,
     load_calibration,
     load_panel,
     synthesize_panel,
     write_csv,
-    write_csv_text,
     write_json,
     write_panel,
 )
@@ -73,6 +77,7 @@ DEFAULT_CALIBRATION = {
 
 DEFAULT_PRE = "2014,2016,2018"
 DEFAULT_POST = "2021,2023"
+DEFAULT_SEED = 42
 
 
 def _parse_years(text: str, flag: str) -> tuple[int, ...]:
@@ -247,6 +252,8 @@ def cmd_did(args) -> int:
         raise InputError(f"--bootstrap-b must be 0 or at least {MIN_BOOTSTRAP_B}, got {args.bootstrap_b}")
     if args.bootstrap_b and not args.input:
         raise InputError("bootstrap needs --input with a bank panel")
+    if args.seed is not None and not args.bootstrap_b:
+        raise InputError("--seed applies to the bootstrap only, which --bootstrap-b asks for")
     out = _out_dir(args)
 
     panel = None
@@ -279,7 +286,7 @@ def cmd_did(args) -> int:
         boot = bootstrap_did(
             panel,
             B=args.bootstrap_b,
-            seed=args.seed,
+            seed=DEFAULT_SEED if args.seed is None else args.seed,
             method=args.method,
             pre_years=pre,
             post_years=post,
@@ -323,28 +330,63 @@ def cmd_did(args) -> int:
 _RECORD_BLOCK_CELLS = 2**12
 
 
+class _RecordText:
+    """The text of the cascade record, one window at a time: its rows of
+    trajectory.csv and its item of cascade.json's history. Each distress
+    value is formatted once, with 17 significant digits as `_fmt` writes a
+    float, and both texts take that string; the item's keys come in sorted
+    order, as `write_json` writes a dict."""
+
+    def __init__(self, banks: list[str]):
+        self.banks = banks
+        # each bank id as a CSV cell and as a JSON key, escaped for a
+        # %-template
+        self.cells = [csv_quote(bank).replace("%", "%%") for bank in banks]
+        self.keys = [json.dumps(bank).replace("%", "%%") for bank in banks]
+
+    def live(self, cols: list[int]) -> None:
+        """Take the live banks' columns, in network order, for the windows
+        that follow: the %-templates of their texts, and the order in which
+        each takes the banks' distress texts and then the time's text."""
+        m = len(cols)
+        self.numbers = ",".join(["%.17g"] * m)
+        self.rows = "".join([f"%s,{self.cells[c]},%s\n" for c in cols])
+        by_name = sorted(range(m), key=lambda i: self.banks[cols[i]])
+        self.item = '{"distress": {' + ", ".join([f"{self.keys[cols[i]]}: %s" for i in by_name]) + '}, "time": %s}'
+        # index m is the time; each getter has at least two indices, so it
+        # gives a tuple
+        self.row_args = itemgetter(*[j for i in range(m) for j in (m, i)])
+        self.item_args = itemgetter(*by_name, m)
+
+    def window(self, t: float, row: list[float]) -> tuple[str, str]:
+        """The trajectory rows and the history item of one window."""
+        texts = (self.numbers % tuple(row)).split(",")
+        texts.append(_fmt(t))
+        return self.rows % self.row_args(texts), self.item % self.item_args(texts)
+
+
 def cmd_stress(args) -> int:
     graph = graph_from_edge_csv(args.input)
     forcing, capitals, horizon, dt = load_scenario(args.scenario, graph)
     result = cascade_stress_test(graph, capitals, forcing, horizon, dt)
     out = _out_dir(args)
-    runs = result.live_runs()
+    text = _RecordText(graph.banks)
 
-    def blocks():
-        # the record a bounded block of windows at a time: the window end
-        # times and the live banks' distress in network order, sliced within
-        # a run of windows that share their live banks
-        for a, b, cols in runs:
+    def history(trajectory):
+        # the record a bounded block of windows at a time, sliced within a
+        # run of windows that share their live banks; each block's rows are
+        # written here and its history items yielded
+        for a, b, cols in result.live_runs():
+            text.live(cols.tolist())
             step = max(1, _RECORD_BLOCK_CELLS // len(cols))
             for start in range(a, b, step):
                 stop = min(start + step, b)
-                yield cols, result.times[start:stop].tolist(), result.distress[start:stop, cols].tolist()
-
-    def history():
-        # one snapshot per window end
-        for cols, times, rows in blocks():
-            banks = [graph.banks[c] for c in cols]
-            yield [{"time": t, "distress": dict(zip(banks, row))} for t, row in zip(times, rows)]
+                items = []
+                for t, row in zip(result.times[start:stop].tolist(), result.distress[start:stop, cols].tolist()):
+                    lines, item = text.window(t, row)
+                    trajectory.write(lines)
+                    items.append(item)
+                yield ", ".join(items)
 
     fields = [
         "total_failures", "rounds", "pre_lambda2", "post_lambda2",
@@ -352,20 +394,11 @@ def cmd_stress(args) -> int:
     ]
     doc = {key: getattr(result, key) for key in fields + ["losses"]}
     doc["failed"] = [{"round": r, "bank": b} for r, b in result.failed]
-    doc["history"] = history()
-    write_json(out / "cascade.json", doc)
+    # one pass over the record writes both files; an error removes both
+    with csv_table(out / "trajectory.csv", ["time", "bank", "distress"]) as trajectory:
+        doc["history"] = history(trajectory)
+        write_json(out / "cascade.json", doc)
     write_csv(out / "cascade_summary.csv", fields, [[_cell(getattr(result, key)) for key in fields]])
-
-    def trajectory():
-        # one chunk of text per window; each bank id is quoted once
-        quoted = [csv_quote(bank) for bank in graph.banks]
-        for cols, times, rows in blocks():
-            banks = [quoted[c] for c in cols]
-            for t, row in zip(times, rows):
-                t = _fmt(t)
-                yield "".join([f"{t},{bank},{v:.17g}\n" for bank, v in zip(banks, row)])
-
-    write_csv_text(out / "trajectory.csv", ["time", "bank", "distress"], trajectory())
     return 0
 
 
@@ -412,9 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="allocation method (default: equal)",
         )
 
-    def add_seed(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=42, help="random seed (default: 42)")
-
     p_build = sub.add_parser("build", help="reconstruct per-year networks from a panel")
     add_io(p_build)
     add_method(p_build)
@@ -437,7 +467,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_did = sub.add_parser("did", help="treatment-effect estimates on the lambda2 series")
     add_panel_or_series(p_did)
     add_method(p_did)
-    add_seed(p_did)
+    p_did.add_argument(
+        "--seed",
+        type=int,
+        # resolved in cmd_did, so that a --seed given with no bootstrap is refused
+        default=None,
+        help=f"bootstrap seed (default: {DEFAULT_SEED})",
+    )
     p_did.add_argument(
         "--bootstrap-b", type=int, default=0, help="bootstrap replications (0 disables)"
     )
@@ -458,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="generate a calibrated synthetic panel")
     p_synth.add_argument("--out", required=True, help="output CSV path or directory")
-    add_seed(p_synth)
+    p_synth.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"random seed (default: {DEFAULT_SEED})")
     p_synth.add_argument("--calib", help="JSON calibration (year -> n_banks/total_exposure/country_list)")
     p_synth.add_argument(
         "--sigma", type=float, default=1.0, help="log-normal exposure dispersion (default: 1)"

@@ -32,6 +32,10 @@ from .spectral import (
 # and recorded; the record is allocated up front
 MAX_WINDOWS = 100_000
 
+# cells (windows x live banks) of a cascade's states held between writes
+# into its record
+_STATE_BUFFER_CELLS = 2**12
+
 
 @dataclass
 class DistressState:
@@ -217,6 +221,11 @@ def cascade_stress_test(
     distress = np.full((n_windows + 1, graph.n), np.nan)
     distress[0] = 0.0
     live_cap = cap
+    # each window's state is buffered, and the buffered windows go into the
+    # record, checked for finiteness, at each failure round, at the end and
+    # whenever they fill the buffer
+    buffer = np.empty((max(1, _STATE_BUFFER_CELLS // graph.n), graph.n))
+    filled = 0
     # an overflowing window is caught by the finiteness check below, so
     # NumPy's own warnings stay silent
     with np.errstate(over="ignore", invalid="ignore"):
@@ -224,12 +233,22 @@ def cascade_stress_test(
         for k in range(1, n_windows + 1):
             times[k] = min(k * dt, horizon)
             x = stepper.advance(x, shock.onset, times[k - 1], times[k])
-            if not np.isfinite(x).all():
-                raise DomainError(f"window {k}: distress is no longer finite (float overflow)")
-            distress[k, live] = x
+            buffer[filled] = x
+            filled += 1
 
             hit = x >= live_cap
-            if hit.any():
+            failing = hit.any()
+            if failing or filled == len(buffer) or k == n_windows:
+                # windows k - filled + 1 to k; every earlier one went in
+                # finite, so the first one here that is not is the first of all
+                block = buffer[:filled]
+                finite = np.isfinite(block)
+                if not finite.all():
+                    bad = k - filled + 1 + int(np.argmin(finite.all(axis=1)))
+                    raise DomainError(f"window {bad}: distress is no longer finite (float overflow)")
+                distress[k - filled + 1:k + 1, live] = block
+                filled = 0
+            if failing:
                 rounds += 1
                 last_failure_time = float(times[k])
                 for i in np.flatnonzero(hit):
@@ -243,6 +262,7 @@ def cascade_stress_test(
                 live_cap = cap[live]
                 lam, vec = eigenbasis(graph.weights[np.ix_(live, live)])
                 stepper = _Stepper(lam, vec, f_full[live])
+                buffer = np.empty((max(1, _STATE_BUFFER_CELLS // live.size), live.size))
 
     # lam holds the survivors' eigenvalues whenever any bank survives
     post_lambda2 = float(_lambda2_of(lam)) if len(live) >= 2 else 0.0

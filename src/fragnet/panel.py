@@ -80,12 +80,33 @@ def csv_quote(text: str) -> str:
     return text
 
 
-def write_csv_text(path: Path, header: list[str], chunks) -> None:
-    """Write a UTF-8 CSV table with LF line endings: the header, then each
-    chunk of text as it comes. Chunks hold whole rows, each ended in LF, with
-    their text cells quoted by `csv_quote`."""
-    with path.open("w", newline="", encoding="utf-8") as fh:
+@contextmanager
+def _output(path: Path):
+    """An output file open for UTF-8 text with LF line endings. An error
+    before the block ends removes the file."""
+    fh = path.open("w", newline="", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
+
+
+@contextmanager
+def csv_table(path: Path, header: list[str]):
+    """A UTF-8 CSV table with LF line endings, open for its rows: the header
+    is written, and the block writes chunks of text to the file it is given.
+    Chunks hold whole rows, each ended in LF, with their text cells quoted
+    by `csv_quote`. An error before the block ends removes the file."""
+    with _output(path) as fh:
         fh.write(",".join(map(csv_quote, header)) + "\n")
+        yield fh
+
+
+def write_csv_text(path: Path, header: list[str], chunks) -> None:
+    """`csv_table` written from an iterable of chunks, as they come."""
+    with csv_table(path, header) as fh:
         fh.writelines(chunks)
 
 
@@ -102,11 +123,11 @@ def write_json(path: Path, doc, indent: int | None = None) -> None:
     value for them.
 
     At indent=None a top-level value of a dict `doc` may be an iterator of
-    lists. It is written as one JSON array of the lists' items, encoded one
-    list at a time, so the array is never held whole; the bytes are those of
-    the document with the lists joined. Every other value is encoded before
-    the file is opened, so an error there leaves no file, and an error in a
-    streamed list removes the file.
+    JSON text, each chunk the items of an array (encoded, and joined with
+    ", ") or empty. It is written as one JSON array of the chunks' items,
+    chunk by chunk as they come, so the array is never held whole. Every
+    other value is encoded before the file is opened, so an error there
+    leaves no file, and an error in a streamed chunk removes the file.
     """
     encode = json.JSONEncoder(indent=indent, sort_keys=True, allow_nan=False).encode
     if indent is None and isinstance(doc, dict) and any(isinstance(v, Iterator) for v in doc.values()):
@@ -117,29 +138,27 @@ def write_json(path: Path, doc, indent: int | None = None) -> None:
             else (encode({key: doc[key]})[1:-1], None)
             for key in sorted(doc)
         ]
-        chunks = _streamed_object(members, encode)
+        chunks = _streamed_object(members)
     else:
         chunks = [encode(doc)]
-    try:
-        with path.open("w", newline="\n", encoding="utf-8") as fh:
-            # a multi-MB document is written as it comes, never concatenated
-            fh.writelines(chunks)
-            fh.write("\n")
-    except BaseException:
-        path.unlink(missing_ok=True)
-        raise
+    with _output(path) as fh:
+        # a multi-MB document is written as it comes, never concatenated
+        fh.writelines(chunks)
+        fh.write("\n")
 
 
-def _streamed_object(members, encode):
+def _streamed_object(members):
     """The text of a JSON object from `write_json`'s members, chunk by chunk."""
     yield "{"
-    for k, (text, blocks) in enumerate(members):
+    for k, (text, chunks) in enumerate(members):
         yield ", " + text if k else text
-        if blocks is not None:
+        if chunks is not None:
             sep = ""
-            for block in blocks:
-                if block:
-                    yield sep + encode(block)[1:-1]
+            for chunk in chunks:
+                if chunk:
+                    # apart, so that a large chunk is not copied
+                    yield sep
+                    yield chunk
                     sep = ", "
             yield "]"
     yield "}"

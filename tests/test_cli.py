@@ -13,7 +13,7 @@ import pytest
 
 import fragnet
 from conftest import bank, graph_of, strict_json
-from fragnet import cli
+from fragnet import cli, diffusion
 from fragnet.cli import DEFAULT_CALIBRATION, main
 from fragnet.diffusion import ForcingSpec, cascade_stress_test
 from fragnet.network import build_graph, graph_from_edge_csv, graph_to_edge_csv
@@ -216,6 +216,33 @@ def test_bootstrap_requires_panel(tmp_path, capsys):
     )
     assert rc == 2
     assert "panel" in capsys.readouterr().err
+
+
+def test_did_refuses_seed_where_no_bootstrap_runs(tmp_path, capsys):
+    # the seed drives the bootstrap's resampling and nothing else
+    series = write_series(tmp_path / "series.csv")
+    panel = tmp_path / "panel.csv"
+    assert main(["synth", "--calib", str(write_calibration(tmp_path / "calib.json")), "--out", str(panel)]) == 0
+    out = str(tmp_path / "o")
+    for source in (["--series", str(series)], ["--input", str(panel)], ["--input", str(panel), "--bootstrap-b", "0"]):
+        rc = main(["did", *source, "--out", out, "--seed", "3"])
+        assert rc == 2, source
+        assert capsys.readouterr().err == "error: --seed applies to the bootstrap only, which --bootstrap-b asks for\n"
+    assert not (tmp_path / "o").exists()
+    # without --seed both runs succeed
+    assert main(["did", "--series", str(series), "--out", out]) == 0
+    assert main(["did", "--input", str(panel), "--out", out]) == 0
+
+
+def test_did_bootstrap_seed_defaults_to_42(tmp_path):
+    panel = tmp_path / "panel.csv"
+    assert main(["synth", "--calib", str(write_calibration(tmp_path / "calib.json", n=5)), "--out", str(panel)]) == 0
+    for name, flags in (("default", []), ("given", ["--seed", "42"])):
+        rc = main(["did", "--input", str(panel), "--out", str(tmp_path / name), "--bootstrap-b", "100", *flags])
+        assert rc == 0
+    assert read_csv(tmp_path / "default" / "bootstrap.csv")[0]["seed"] == "42"
+    for name in ("did.json", "did_level.csv", "bootstrap.csv"):
+        assert (tmp_path / "default" / name).read_bytes() == (tmp_path / "given" / name).read_bytes()
 
 
 def test_analyze_needs_input_or_series(tmp_path, capsys):
@@ -636,6 +663,24 @@ def test_stress_outputs_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
     assert len(doc["history"]) == 301 and doc["total_failures"] > 20
 
 
+def test_stress_error_while_writing_the_record_removes_both_files(tmp_path, monkeypatch, capsys):
+    argv = long_cascade(tmp_path, windows=300)
+    window = cli._RecordText.window
+    calls = []
+
+    def failing(self, t, row):
+        calls.append(t)
+        if len(calls) == 200:
+            raise OSError("No space left on device")
+        return window(self, t, row)
+
+    monkeypatch.setattr(cli._RecordText, "window", failing)
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: No space left on device\n"
+    assert out.is_dir() and not list(out.iterdir())
+
+
 def test_stress_memory_on_a_2000_window_cascade(tmp_path):
     argv = long_cascade(tmp_path) + ["--out", str(tmp_path / "out")]
     assert main(argv) == 0
@@ -693,6 +738,71 @@ def test_stress_trajectory_quotes_bank_ids_as_the_csv_module_does(tmp_path):
         assert {row[1] for row in list(csv.reader(fh))[1:]} == set(banks)
 
 
+def number_texts(text):
+    """A JSON document with every number kept as its text."""
+    return json.loads(text, parse_float=str, parse_int=str)
+
+
+def test_stress_record_text_is_shared_by_both_files(tmp_path):
+    # ids that a %-template, a str.format template, a CSV cell or a JSON
+    # string has to escape, and the empty one
+    banks = ["50%", "%s%d", "{0}", "}{", 'q"uote', "back\\slash", "a,b", "cr\rlf\n", "Zürich €", ""]
+    n = len(banks)
+    rng = np.random.default_rng(11)
+    w = rng.uniform(0.5, 2.0, (n, n))
+    w = (w + w.T) / 2.0
+    np.fill_diagonal(w, 0.0)
+    edges = tmp_path / "edges.csv"
+    with edges.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, quoting=csv.QUOTE_ALL)
+        writer.writerow(["year", "bank_i", "bank_j", "weight"])
+        writer.writerows([2014, banks[i], banks[j], repr(float(w[i, j]))] for i in range(n) for j in range(i + 1, n))
+    caps = dict(zip(banks, np.linspace(0.5, 3.0, n).tolist()))
+    caps[banks[0]] = 1e3
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(
+        json.dumps({"shock": {banks[0]: 40.0}, "onset": 0.05, "horizon": 1.0, "dt": 0.01, "capitals": caps}),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["stress", "--input", str(edges), "--scenario", str(scenario), "--out", str(out)]) == 0
+
+    doc = strict_json(out / "cascade.json")
+    assert doc["rounds"] >= 3 and len(doc["history"]) == 101
+    history = number_texts((out / "cascade.json").read_text(encoding="utf-8"))["history"]
+    with (out / "trajectory.csv").open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    # each number's text in the history is its text in trajectory.csv, and
+    # the snapshot's banks are in sorted order
+    assert [(snap["time"], bank, v) for snap in history for bank, v in snap["distress"].items()] == [
+        tuple(row) for row in sorted(rows, key=lambda r: (float(r[0]), r[1]))
+    ]
+    assert all(list(snap["distress"]) == sorted(snap["distress"]) for snap in history)
+    assert {b for snap in doc["history"] for b in snap["distress"]} == set(banks)
+
+
+def test_record_text_writes_17_digit_numbers_valid_in_both_files():
+    values = [0.0, -0.0, 1.0, 1e17, 5e-324, 1.7976931348623157e308]
+    banks = [f"b{k}%{{}}" for k in range(len(values))]
+    text = cli._RecordText(banks[::-1])
+    text.live(list(range(len(banks))))
+    rows, item = text.window(0.1, values[::-1])
+    cells = [format(v, ".17g") for v in values[::-1]]
+    assert cells == ["1.7976931348623157e+308", "4.9406564584124654e-324", "1e+17", "1", "-0", "0"]
+    assert rows == "".join(f"0.10000000000000001,{b},{c}\n" for b, c in zip(banks[::-1], cells))
+    assert item == (
+        '{"distress": {' + ", ".join(f'"{b}": {c}' for b, c in zip(banks, cells[::-1]))
+        + '}, "time": 0.10000000000000001}'
+    )
+    # the same values, each whole one read back as an int
+    parsed = json.loads(item)
+    assert list(parsed["distress"].values()) == values and parsed["time"] == 0.1
+    assert [type(v) for v in parsed["distress"].values()] == [int, int, int, float, float, float]
+    # one bank, whose argument getters still give tuples
+    text.live([2])
+    assert text.window(1.0, [2.5]) == ("1,b3%{},2.5\n", '{"distress": {"b3%{}": 2.5}, "time": 1}')
+
+
 def test_stress_rejects_distress_beyond_the_float_range(tmp_path, capsys):
     # each shock is finite, but three of them together overflow the float range
     banks = ["A", "B", "C", "D", "E", "F"]
@@ -712,6 +822,45 @@ def test_stress_rejects_distress_beyond_the_float_range(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: window 1: distress is no longer finite") and err.count("\n") == 1, err
+
+
+# scenarios on the six-bank ring of the test above whose distress leaves the
+# float range after window 1, with the window the error names
+OVERFLOW_CASES = {
+    # unforced, and so all zero, through window 50; the forcing that starts
+    # inside window 51 sends every bank to -inf, which fails none of them, so
+    # the overflow is found where the buffered states go into the record
+    "deep inside a run": (1.0, {b: -1.7e308 for b in "ABC"}, 0.505, 1.0, 0.01, {}, 51),
+    # at a thousandth of the weights A and C fail in window 1, and B's own
+    # forcing takes it past the float range in window 2
+    "right after a failure round": (1e-3, {"B": 1.5e308}, 0.0, 3.0, 1.0, {"A": 1e-300, "C": 1e-300}, 2),
+}
+
+
+@pytest.mark.parametrize("cells", [1, 42, None])
+@pytest.mark.parametrize("case", sorted(OVERFLOW_CASES))
+def test_stress_names_an_overflow_past_window_1(tmp_path, capsys, monkeypatch, case, cells):
+    scale, shock, onset, horizon, dt, small, window = OVERFLOW_CASES[case]
+    if cells is not None:
+        # a buffer of one window, and one of seven that fills in windows 7, 14, ...
+        monkeypatch.setattr(diffusion, "_STATE_BUFFER_CELLS", cells)
+    rows = [("A", "B", 1), ("B", "C", 2), ("C", "D", 1), ("D", "E", 3), ("E", "F", 1), ("F", "A", 2)]
+    edges = tmp_path / "edges.csv"
+    edges.write_text("year,bank_i,bank_j,weight\n" + "".join(f"2014,{a},{b},{w * scale!r}\n" for a, b, w in rows),
+                     encoding="utf-8")
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(
+        json.dumps({"shock": shock, "onset": onset, "horizon": horizon, "dt": dt,
+                    "capitals": {**dict.fromkeys("ABCDEF", 1.7e308 if small else 1.0), **small}}),
+        encoding="utf-8",
+    )
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["stress", "--input", str(edges), "--scenario", str(scenario), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: window {window}: distress is no longer finite (float overflow)\n"
+    assert not out.exists()
 
 
 def non_utf8_case(tmp_path, loader):

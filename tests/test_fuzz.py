@@ -103,7 +103,8 @@ def run_stress(edges: str, scenario: str) -> int:
 
 def cascade_document(edges: Path, scenario: Path) -> bytes:
     """cascade.json as one `json.dumps` of the whole document, its history
-    built here window by window from the library's record."""
+    built here window by window from the library's record, with each number
+    written as `format(v, ".17g")` writes it."""
     graph = graph_from_edge_csv(edges)
     forcing, capitals, horizon, dt = load_scenario(scenario, graph)
     res = cascade_stress_test(graph, capitals, forcing, horizon, dt)
@@ -111,11 +112,16 @@ def cascade_document(edges: Path, scenario: Path) -> bytes:
             "stabilization_time", "losses"]
     doc = {key: getattr(res, key) for key in keys}
     doc["failed"] = [{"round": r, "bank": b} for r, b in res.failed]
-    doc["history"] = [
-        {"time": t, "distress": {b: v for b, v in zip(graph.banks, row) if not math.isnan(v)}}
-        for t, row in zip(res.times.tolist(), res.distress.tolist())
-    ]
-    return (json.dumps(doc, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
+    doc["history"] = []
+    items = []
+    for t, row in zip(res.times.tolist(), res.distress.tolist()):
+        live = sorted((b, v) for b, v in zip(graph.banks, row) if not math.isnan(v))
+        members = ", ".join(f"{json.dumps(b)}: {format(v, '.17g')}" for b, v in live)
+        items.append(f'{{"distress": {{{members}}}, "time": {format(t, ".17g")}}}')
+    text = json.dumps(doc, sort_keys=True, allow_nan=False)
+    # the one "history" key of the document, an empty array until here
+    head, tail = text.split('"history": []')
+    return (head + '"history": [' + ", ".join(items) + "]" + tail + "\n").encode("utf-8")
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])

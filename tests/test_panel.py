@@ -16,6 +16,7 @@ from fragnet.panel import (
     ExposurePanel,
     _cell,
     csv_quote,
+    csv_table,
     load_panel,
     read_json_object,
     synthesize_panel,
@@ -333,6 +334,30 @@ def test_csv_quote_matches_the_writer(tmp_path):
     assert path.read_bytes() == written
 
 
+def test_csv_table_holds_its_file_open_and_removes_it_on_error(tmp_path):
+    path = tmp_path / "t.csv"
+    other = tmp_path / "d.json"
+    with csv_table(path, ["a", "b"]) as fh:
+        fh.write("1,2\n")
+        # another file written while the table is open
+        write_json(other, {"k": iter(["1", "2"])})
+        fh.write("3,4\n")
+    assert path.read_bytes() == b"a,b\n1,2\n3,4\n"
+    assert other.read_bytes() == b'{"k": [1, 2]}\n'
+
+    def failing():
+        yield "5"
+        raise ValueError("no more text")
+
+    # an error inside the block removes the table, and one in the streamed
+    # JSON text removes both files
+    with pytest.raises(ValueError, match="no more text"):
+        with csv_table(path, ["a", "b"]) as fh:
+            fh.write("1,2\n")
+            write_json(other, {"k": failing()})
+    assert not path.exists() and not other.exists()
+
+
 def test_cells_leave_missing_values_empty():
     assert [_cell(v) for v in (None, math.nan, 0.1, 3, math.inf)] == [
         "", "", "0.10000000000000001", "3", "inf"
@@ -371,11 +396,11 @@ def record(windows, fails):
 
 
 def in_blocks(history, size):
-    """The snapshots as an iterator of lists of at most `size`, with an
-    empty list first."""
-    yield []
+    """The snapshots as an iterator of JSON text, each chunk at most `size`
+    of them encoded and joined with ", ", with an empty chunk first."""
+    yield ""
     for start in range(0, len(history), size):
-        yield history[start:start + size]
+        yield ", ".join(json.dumps(item, sort_keys=True) for item in history[start:start + size])
 
 
 STREAM_CASES = {
@@ -408,15 +433,20 @@ def test_write_json_encodes_every_other_value_before_the_file(tmp_path):
 
     def history():
         started.append(True)
-        yield [{"time": 0.0}]
+        yield '{"time": 0.0}'
 
     path = tmp_path / "bad.json"
     with pytest.raises(ValueError):
         write_json(path, {"history": history(), "z": [math.nan]})
     assert not path.exists() and not started
-    # a NaN in a streamed list removes the part written
-    with pytest.raises(ValueError):
-        write_json(path, {"history": iter([[1.0], [math.inf]]), "z": 1})
+
+    def failing():
+        yield '{"time": 0.0}'
+        raise ValueError("no more text")
+
+    # an error in the streamed text removes the part written
+    with pytest.raises(ValueError, match="no more text"):
+        write_json(path, {"history": failing(), "z": 1})
     assert not path.exists()
 
 
