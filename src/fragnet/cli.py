@@ -87,6 +87,9 @@ def _parse_years(text: str, flag: str) -> tuple[int, ...]:
         raise InputError(f"{flag}: expected comma-separated years, got {text!r}") from exc
     if not years:
         raise InputError(f"{flag}: no years given")
+    for k, year in enumerate(years):
+        if year in years[:k]:
+            raise InputError(f"{flag}: year {year} given twice")
     return years
 
 
@@ -405,6 +408,8 @@ def cmd_stress(args) -> int:
 def cmd_synth(args) -> int:
     if not (math.isfinite(args.sigma) and args.sigma >= 0):
         raise InputError(f"--sigma must be a finite non-negative number, got {args.sigma}")
+    if args.seed < 0:
+        raise InputError(f"--seed must be a non-negative integer, got {args.seed}")
     calibration = load_calibration(args.calib) if args.calib else DEFAULT_CALIBRATION
     panel = synthesize_panel(calibration, seed=args.seed, sigma=args.sigma)
     out_path = Path(args.out)

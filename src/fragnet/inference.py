@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, InputError
 from .network import WeightedGraph, YearArrays, allocate_arrays, year_arrays
-from .panel import ExposurePanel, parse_nonnegative, parse_year, read_csv
+from .panel import ExposurePanel, parse_nonnegative, parse_year, read_csv_rows
 from .spectral import lambda2_quotient, stack_members
 
 # fewest bootstrap replications whose percentile interval is reported
@@ -412,7 +412,7 @@ def load_series_csv(path: str | Path) -> dict[int, float]:
     """
     path = Path(path)
     values: dict[int, float] = {}
-    for line, (year_s, value_s) in read_csv(path, ["year", "lambda2"], "series"):
+    for line, year_s, value_s in read_csv_rows(path, ["year", "lambda2"], "series"):
         year = parse_year(year_s, path, line)
         value = parse_nonnegative(value_s, path, line, "lambda2")
         if year in values:

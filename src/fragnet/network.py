@@ -443,56 +443,154 @@ def graph_from_edge_csv(path: str | Path) -> WeightedGraph:
     The list must hold one year and name each pair once, in either order;
     anything else is ambiguous and rejected with the file and line named.
     So is a bank whose weights sum beyond the float range, whose degree
-    would be infinite.
+    would be infinite. Of several faulty rows the first is named, and of
+    one row's faults the first of: the year, the weight, a year other than
+    the first edge's, a self-loop, a repeated pair.
+
+    The list is read and checked a block of rows at a time; repeated pairs
+    are found over the whole list at its end.
     """
     path = Path(path)
     # bank -> its index, in order of first appearance
     seen: dict[str, int] = {}
-    pair_line: dict[tuple[int, int], int] = {}
-    rows: list[int] = []
-    cols: list[int] = []
-    weights: list[float] = []
-    year = year_line = None
-    for line, (year_s, bank_i, bank_j, weight_s) in read_csv(path, EDGE_HEADER, "edge-list"):
-        row_year = parse_year(year_s, path, line)
-        w = parse_nonnegative(weight_s, path, line, "weight")
-        if year is None:
-            year, year_line = row_year, line
-        elif row_year != year:
-            raise InputError(
-                f"{path}: line {line}: year {row_year} differs from year {year} "
-                f"on line {year_line}; an edge list holds one year"
-            )
-        i = seen.setdefault(bank_i, len(seen))
-        j = seen.setdefault(bank_j, len(seen))
-        if i == j:
-            raise InputError(f"{path}: line {line}: self-loop on {bank_i}")
-        pair = (i, j) if i < j else (j, i)
-        if pair in pair_line:
-            raise InputError(
-                f"{path}: line {line}: pair {bank_i},{bank_j} already given on "
-                f"line {pair_line[pair]}"
-            )
-        pair_line[pair] = line
-        rows.append(i)
-        cols.append(j)
-        weights.append(w)
+    first = None  # the first edge's year and line
+    lines: list[int] = []
+    pair_blocks: list[np.ndarray] = []
+    weight_blocks: list[np.ndarray] = []
+    fault = None  # the first row's fault, which ends the reading
+    try:
+        for block_lines, columns in read_csv(path, EDGE_HEADER, "edge-list"):
+            first, count, pairs, w, fault = _edge_block(path, block_lines, columns, seen, first)
+            lines.extend(block_lines[:count])
+            pair_blocks.append(pairs[:count])
+            weight_blocks.append(w[:count])
+            if fault is not None:
+                break
+    except InputError as exc:  # a framing fault, after every row before it
+        fault = exc
     banks = list(seen)
+    pairs = np.concatenate(pair_blocks) if pair_blocks else np.zeros((0, 2), dtype=np.intp)
+    repeat = _first_repeated_pair(pairs, len(banks))
+    if repeat is not None:
+        k, earlier = repeat
+        i, j = pairs[k]
+        raise InputError(
+            f"{path}: line {lines[k]}: pair {banks[i]},{banks[j]} already given on "
+            f"line {lines[earlier]}"
+        )
+    if fault is not None:
+        raise fault
     if len(banks) < 2:
         raise InputError(f"{path}: fewer than 2 banks")
+    w = np.concatenate(weight_blocks)
     matrix = np.zeros((len(banks), len(banks)))
-    matrix[rows, cols] = weights
-    matrix[cols, rows] = weights
-    graph = WeightedGraph(banks, matrix, year)
+    matrix[pairs[:, 0], pairs[:, 1]] = w
+    matrix[pairs[:, 1], pairs[:, 0]] = w
+    graph = WeightedGraph(banks, matrix, first[0])
     graph.validate()
     with np.errstate(over="ignore"):
         finite = np.isfinite(graph.degrees())
     if not finite.all():
         k = int(np.argmin(finite))
-        line = min(at for pair, at in pair_line.items() if k in pair)
+        line = lines[int(np.flatnonzero((pairs == k).any(axis=1))[0])]
         raise InputError(
             f"{path}: line {line}: the edge weights of bank {banks[k]} sum beyond "
             f"the float range"
         )
     return graph
 
+
+def _edge_block(path: Path, lines, columns, seen: dict[str, int], first):
+    """One block of edge rows, given the list's first edge's (year, line)
+    or None: (first, count, pairs, weights, fault), with the rows' bank
+    index pairs and weights, of which the first `count` rows hold no fault,
+    and the next row's fault (an InputError) or None. New banks are indexed
+    into `seen`."""
+    years_s, banks_i, banks_j, weights_s = columns
+    count, fault = len(lines), None
+
+    def at(k: int, exc: InputError) -> None:
+        # a fault of row k, which wins over any later row's
+        nonlocal count, fault
+        if k < count:
+            count, fault = k, exc
+
+    # each distinct year text parsed once, in order of first appearance, up
+    # to the first that is not a year or not the list's year: its first row
+    # and its year (None when it is not a year)
+    odd = odd_year = None
+    texts = [years_s[0]] if years_s.count(years_s[0]) == len(years_s) else dict.fromkeys(years_s)
+    for text in texts:
+        try:
+            year = parse_year(text, path, None)
+        except InputError:
+            year = None
+        if first is None and year is not None:
+            first = year, lines[0]
+        if year is None or year != first[0]:
+            odd, odd_year = years_s.index(text), year
+            break
+    if odd is not None and odd_year is None:
+        at(odd, _fault(parse_year, years_s[odd], path, lines[odd]))
+
+    try:
+        if "_" in "".join(weights_s):
+            raise ValueError("an underscore")
+        w = np.fromiter(map(float, weights_s), float, len(weights_s))
+    except ValueError:
+        # the reading ends at the first row the number rule refuses, so the
+        # weights before it are never used
+        w = np.zeros(len(weights_s))
+        k = next(
+            k for k, text in enumerate(weights_s) if _fault(parse_nonnegative, text, path, lines[k], "weight")
+        )
+    else:
+        bad = np.flatnonzero(~(w >= 0.0) | (w == np.inf))
+        k = int(bad[0]) if bad.size else None
+    if k is not None:
+        at(k, _fault(parse_nonnegative, weights_s[k], path, lines[k], "weight"))
+
+    if odd_year is not None:
+        at(odd, InputError(
+            f"{path}: line {lines[odd]}: year {odd_year} differs from year {first[0]} "
+            f"on line {first[1]}; an edge list holds one year"
+        ))
+
+    # each row's two banks in turn
+    both = [None] * (2 * len(banks_i))
+    both[0::2] = banks_i
+    both[1::2] = banks_j
+    try:
+        pairs = np.fromiter(map(seen.__getitem__, both), np.intp, len(both))
+    except KeyError:  # new banks, indexed in order of appearance
+        for bank in dict.fromkeys(both):
+            seen.setdefault(bank, len(seen))
+        pairs = np.fromiter(map(seen.__getitem__, both), np.intp, len(both))
+    pairs = pairs.reshape(-1, 2)
+    loops = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
+    if loops.size:
+        k = int(loops[0])
+        at(k, InputError(f"{path}: line {lines[k]}: self-loop on {banks_i[k]}"))
+    return first, count, pairs, w, fault
+
+
+def _fault(check, *args) -> InputError | None:
+    """The InputError that check(*args) raises, or None."""
+    try:
+        check(*args)
+    except InputError as exc:
+        return exc
+    return None
+
+
+def _first_repeated_pair(pairs: np.ndarray, n: int) -> tuple[int, int] | None:
+    """The first row whose bank pair, in either order, an earlier row gave,
+    and that earlier row; None when every pair is given once."""
+    keys = pairs.min(axis=1) * n + pairs.max(axis=1)
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    repeats = order[np.flatnonzero(ranked[1:] == ranked[:-1]) + 1]
+    if not repeats.size:
+        return None
+    k = int(repeats.min())
+    return k, int(order[np.searchsorted(ranked, keys[k])])

@@ -13,6 +13,7 @@ lists the years and expected bank counts; when present it is checked on load.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import warnings
@@ -20,6 +21,7 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -189,30 +191,137 @@ def open_input(path: Path):
 # CSV field or the field of a JSON document.
 
 
+# characters read at a time from an input CSV; a block of rows ends at the
+# first line break after them
+_BLOCK_CHARS = 2**16
+
+
+def _text_blocks(fh) -> Iterator[str]:
+    """The text of an input file in blocks of whole lines: each is at least
+    _BLOCK_CHARS characters long, or the rest of the file, and ends at a
+    line break (LF, CR or CRLF, a CRLF never split) or at the file's end."""
+    pending: list[str] = []
+    while chunk := fh.read(_BLOCK_CHARS):
+        # a CR at the chunk's end may be the first half of a CRLF
+        cut = max(chunk.rfind("\n"), chunk.rfind("\r", 0, len(chunk) - 1)) + 1
+        if cut:
+            pending.append(chunk[:cut])
+            yield "".join(pending)
+            pending = [chunk[cut:]]
+        else:
+            pending.append(chunk)
+    tail = "".join(pending)
+    if tail:
+        yield tail
+
+
 def read_csv(path: Path, header: list[str], what: str):
-    """The rows of an input CSV table as (line, row) pairs, the header
-    checked and blank rows skipped. An empty file, another header, a row of
-    another field count or malformed CSV is an InputError naming the file
-    (and the line); `what` names the table in a header error."""
+    """The rows of an input CSV table, a block at a time: each block is a
+    pair (lines, columns) of the rows' line numbers and of their fields,
+    one sequence per column, in file order. The header is checked and blank
+    rows are skipped. An empty file, another header, a row of another field
+    count or malformed CSV is an InputError naming the file (and the line),
+    raised after the block of the rows before it; `what` names the table in
+    a header error.
+
+    This is the one CSV tokenizer of the inputs. A block of text with no
+    double quote, no NUL and no field longer than csv.field_size_limit(),
+    whose lines all hold the header's field count, is split at its line
+    breaks and commas. From the first other block, the rest of the file
+    goes through csv.reader, the only reading of a quoted field. Both give
+    the same rows, line numbers and errors."""
+    width = len(header)
     with open_input(path) as fh:
-        reader = csv.reader(fh)
-        try:
+        blocks = _text_blocks(fh)
+        line = 0  # the lines of the blocks before this one
+        for text in blocks:
+            if '"' in text or "\0" in text or _field_beyond_limit(text):
+                break
+            lf = text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+            if lf[-1] != "\n":  # the file's last line
+                lf += "\n"
+            start = line
+            if not line:
+                first, _, lf = lf.partition("\n")
+                _check_header(path, first.split(",") if first else [], header, what)
+                start = 1
+            count = lf.count("\n")
+            # each line's fields, then a field "\n" of its own
+            fields = lf.replace("\n", ",\n,").split(",")
+            fields.pop()  # the empty text after the last line break
+            if len(fields) != (width + 1) * count or fields[width::width + 1].count("\n") != count:
+                break  # a blank row or a row of another field count
+            line = start + count
+            if count:
+                yield range(start + 1, line + 1), [fields[k::width + 1] for k in range(width)]
+        else:
+            if not line:
+                raise InputError(f"{path}: empty file")
+            return
+        yield from _csv_blocks(path, chain([text], blocks), line, header, what)
+
+
+def read_csv_rows(path: Path, header: list[str], what: str):
+    """`read_csv`'s rows one at a time, each its line number and then its
+    fields."""
+    for lines, columns in read_csv(path, header, what):
+        yield from zip(lines, *columns)
+
+
+def _field_beyond_limit(text: str) -> bool:
+    """Whether a field of the text is longer than csv.field_size_limit(),
+    which csv.reader refuses."""
+    limit = csv.field_size_limit()
+    return len(text) > limit and max(map(len, text.replace("\r", ",").replace("\n", ",").split(","))) > limit
+
+
+def _check_header(path: Path, first: list[str], header: list[str], what: str) -> None:
+    if first != header:
+        raise InputError(f"{path}: bad {what} header {first!r}, expected {header!r}")
+
+
+def _csv_blocks(path: Path, texts, line: int, header: list[str], what: str):
+    """`read_csv`'s blocks of the rest of a file, given as its blocks of
+    text after `line` lines, read through csv.reader."""
+    size = 0  # the characters read since the last block
+
+    def lines():
+        nonlocal size
+        for text in texts:
+            for source in io.StringIO(text, newline=""):
+                size += len(source)
+                yield source
+
+    width = len(header)
+    reader = csv.reader(lines())
+    numbers: list[int] = []
+    rows: list[list[str]] = []
+    fault = None
+    try:
+        if not line:
             first = next(reader, None)
             if first is None:
                 raise InputError(f"{path}: empty file")
-            if first != header:
-                raise InputError(f"{path}: bad {what} header {first!r}, expected {header!r}")
-            width = len(header)
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != width:
-                    raise InputError(
-                        f"{path}: line {reader.line_num}: expected {width} fields, got {len(row)}"
-                    )
-                yield reader.line_num, row
-        except csv.Error as exc:
-            raise InputError(f"{path}: line {reader.line_num}: {exc}") from exc
+            _check_header(path, first, header, what)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != width:
+                fault = InputError(
+                    f"{path}: line {line + reader.line_num}: expected {width} fields, got {len(row)}"
+                )
+                break
+            numbers.append(line + reader.line_num)
+            rows.append(row)
+            if size >= _BLOCK_CHARS:
+                yield numbers, list(zip(*rows))
+                numbers, rows, size = [], [], 0
+    except csv.Error as exc:
+        fault = InputError(f"{path}: line {line + reader.line_num}: {exc}")
+    if rows:
+        yield numbers, list(zip(*rows))
+    if fault is not None:
+        raise fault
 
 
 def _at(path: Path, line: int | None, column: str) -> str:
@@ -351,8 +460,9 @@ def load_panel(path: str | Path) -> ExposurePanel:
     banks: dict[tuple[int, str], BankRecord] = {}
     totals: dict[int, float] = {}
 
-    for line, row in read_csv(path, CSV_HEADER, "panel"):
-        year_s, lei, name, country, assets_s, capital_s, exp_country, exp_s = row
+    for line, year_s, lei, name, country, assets_s, capital_s, exp_country, exp_s in read_csv_rows(
+        path, CSV_HEADER, "panel"
+    ):
         year = parse_year(year_s, path, line)
         _check_lei(lei, path, line)
         _warn_country(country, path, line)

@@ -199,6 +199,26 @@ def test_synth_rejects_sigma_out_of_range(tmp_path, capsys, sigma):
     assert not (tmp_path / "p.csv").exists()
 
 
+def test_synth_rejects_a_negative_seed(tmp_path, capsys):
+    # the seed is the entropy of a SeedSequence, which takes no negative
+    # integer; it used to end in a traceback with exit code 1
+    rc = main(["synth", "--seed", "-1", "--out", str(tmp_path / "p.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
+    assert not (tmp_path / "p.csv").exists()
+    assert main(["synth", "--seed", "0", "--out", str(tmp_path / "p.csv")]) == 0
+
+
+@pytest.mark.parametrize("flag, years, year", [("--pre", "2014,2014,2016", 2014), ("--post", "2021,2023,2021", 2021)])
+def test_did_refuses_a_year_given_twice(tmp_path, capsys, flag, years, year):
+    # a repeated year used to enter the estimates and the bootstrap twice
+    series = write_series(tmp_path / "series.csv")
+    rc = main(["did", "--series", str(series), "--out", str(tmp_path / "o"), flag, years])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {flag}: year {year} given twice\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("b", ["50", "-5"])
 def test_did_rejects_bootstrap_b_out_of_range(tmp_path, capsys, b):
     panel = tmp_path / "panel.csv"
