@@ -251,6 +251,12 @@ def _did_table(
 def cmd_did(args) -> int:
     pre = _parse_years(args.pre, "--pre")
     post = _parse_years(args.post, "--post")
+    if set(pre) & set(post):
+        raise InputError(f"--pre and --post overlap: {sorted(set(pre) & set(post))}")
+    # placebo_test's rule: pre-years before the false year and from it on
+    for year in args.placebo or []:
+        if not min(pre) < year <= max(pre):
+            raise InputError(f"--placebo: year {year} must fall strictly inside the pre-period {sorted(pre)}")
     if args.bootstrap_b and args.bootstrap_b < MIN_BOOTSTRAP_B:
         raise InputError(f"--bootstrap-b must be 0 or at least {MIN_BOOTSTRAP_B}, got {args.bootstrap_b}")
     if args.bootstrap_b and not args.input:

@@ -17,7 +17,7 @@ from fragnet import cli, diffusion
 from fragnet.cli import DEFAULT_CALIBRATION, main
 from fragnet.diffusion import ForcingSpec, cascade_stress_test
 from fragnet.network import build_graph, graph_from_edge_csv, graph_to_edge_csv
-from fragnet.panel import ExposurePanel, load_panel, synthesize_panel, write_panel
+from fragnet.panel import _BLOCK_BYTES, ExposurePanel, load_panel, synthesize_panel, write_panel
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -169,18 +169,33 @@ def test_missing_input_names_path(tmp_path, capsys):
 
 
 def test_domain_error_exit_code(tmp_path, capsys):
-    series = write_series(tmp_path / "series.csv")
-    rc = main(
-        [
-            "did",
-            "--series", str(series),
-            "--out", str(tmp_path / "o"),
-            "--pre", "2014,2016,2018",
-            "--post", "2018,2021,2023",
-        ]
-    )
+    # a sigma whose log-normal draws leave the float range
+    rc = main(["synth", "--sigma", "1e300", "--out", str(tmp_path / "p.csv")])
     assert rc == 1
-    assert "overlap" in capsys.readouterr().err
+    assert "leaves the float range" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
+
+
+def test_did_refuses_overlapping_pre_and_post(tmp_path, capsys):
+    out = tmp_path / "o"
+    rc = main(["did", "--series", str(write_series(tmp_path / "series.csv")), "--out", str(out),
+               "--pre", "2014,2016,2018", "--post", "2018,2021,2023"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --pre and --post overlap: [2018]\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("year", [2021, 2014, 2013])
+def test_did_refuses_a_placebo_outside_the_pre_period(tmp_path, capsys, year):
+    # the placebo needs pre-years before and from the false year
+    out = tmp_path / "o"
+    rc = main(["did", "--series", str(write_series(tmp_path / "series.csv")), "--out", str(out),
+               "--placebo", "2016", "--placebo", str(year)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: --placebo: year {year} must fall strictly inside the pre-period [2014, 2016, 2018]\n"
+    )
+    assert not out.exists()
 
 
 def test_bad_epsilon_exit_code(tmp_path, capsys):
@@ -304,10 +319,11 @@ def test_series_refuses_network_flags(tmp_path, capsys):
 
 
 def test_failed_did_writes_nothing(tmp_path):
-    # 2014 is not inside the pre-period, so the placebo fails after every
-    # other estimate has been made
+    # one pre-year gives a level estimate but no trend, so the detrended
+    # estimate fails after the level one has been made
     out = tmp_path / "out"
-    rc = main(["did", "--series", str(write_series(tmp_path / "series.csv")), "--out", str(out), "--placebo", "2014"])
+    rc = main(["did", "--series", str(write_series(tmp_path / "series.csv")), "--out", str(out),
+               "--pre", "2014", "--post", "2016,2018,2021,2023"])
     assert rc == 1
     assert list(out.iterdir()) == []
 
@@ -884,8 +900,12 @@ def test_stress_names_an_overflow_past_window_1(tmp_path, capsys, monkeypatch, c
 
 
 def non_utf8_case(tmp_path, loader):
-    """argv of a command and the input it reads through the given loader,
-    whose last occurrence of a marker is replaced to hold byte 0xff."""
+    """argv of a command, the input it reads through the given loader and
+    the message of the input's first fault. The input holds byte 0xff in
+    place of a marker's last occurrence, or, in an early-fault case, on a
+    line after a faulty field on line 3."""
+    if loader in EARLY_FAULT_CASES:
+        return early_fault_case(tmp_path, loader)
     calib = write_calibration(tmp_path / "calib.json")
     panel = tmp_path / "panel.csv"
     assert main(["synth", "--calib", str(calib), "--out", str(panel)]) == 0
@@ -912,20 +932,57 @@ def non_utf8_case(tmp_path, loader):
     data = bad.read_bytes()
     at = data.rindex(marker) + 2
     bad.write_bytes(data[:at] + b"\xff" + data[at:])
-    return argv, bad
-
-
-@pytest.mark.parametrize("loader", ["series", "calibration", "panel", "manifest", "edges", "scenario"])
-def test_non_utf8_input_names_file_and_line(tmp_path, capsys, loader):
-    argv, bad = non_utf8_case(tmp_path, loader)
-    data = bad.read_bytes()
-    line = data.count(b"\n", 0, data.index(b"\xff")) + 1
-    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert f"{bad}: line {line}: byte 0xff is not UTF-8" in err, err
+    line = data.count(b"\n", 0, at) + 1
     # every multi-line input has the byte past its first line
     assert line > 1 or loader == "calibration"
-    assert data.index(b"\xff") > 8192 or loader != "panel"
+    assert at > 8192 or loader != "panel"
+    return argv, bad, f"line {line}: byte 0xff is not UTF-8"
+
+
+# a CSV input of many rows, its header and its k-th row, whose last field
+# the early-fault cases make "x" on line 3
+EARLY_FAULT_ROWS = {
+    "panel": ("year,lei,name,country,total_assets,capital,exposure_country,exposure_amount",
+              lambda k: f"2014,L{k:019d},Bank {k},DE,100,10,FR,1"),
+    "series": ("year,lambda2", lambda k: f"{1000 + k},1.5"),
+    "edges": ("year,bank_i,bank_j,weight", lambda k: f"2014,B{k},B{k + 1},1.5"),
+    # read through csv.reader
+    "quoted edges": ("year,bank_i,bank_j,weight", lambda k: f'2014,"B{k}","B{k + 1}",1.5'),
+}
+# byte 0xff on line 1004, within the first block of bytes read ("near"), or
+# more than two blocks into the file ("far")
+EARLY_FAULT_CASES = [f"{kind}, byte {where}" for kind in EARLY_FAULT_ROWS for where in ("near", "far")]
+
+
+def early_fault_case(tmp_path, case):
+    kind, where = case.split(", byte ")
+    header, row = EARLY_FAULT_ROWS[kind]
+    # every row is at least 8 bytes long
+    lines = [header] + [row(k) for k in range(2, 2 * _BLOCK_BYTES // 8 if where == "far" else 1004)]
+    lines[2] = lines[2].rsplit(",", 1)[0] + ",x"
+    head = "".join(line + "\n" for line in lines).encode("utf-8")
+    assert len(head) > 2 * _BLOCK_BYTES if where == "far" else len(head) < _BLOCK_BYTES
+    bad = tmp_path / f"{kind.replace(' ', '_')}.csv"
+    bad.write_bytes(head + b"2014,\xff,C,1\n" + "".join(row(k) + "\n" for k in range(9000, 9010)).encode("utf-8"))
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(SCENARIO), encoding="utf-8")
+    argv = {
+        "panel": ["build", "--input", str(bad)],
+        "series": ["analyze", "--series", str(bad)],
+    }.get(kind, ["stress", "--input", str(bad), "--scenario", str(scenario)])
+    column = LAST_COLUMN["edges" if kind == "quoted edges" else kind]
+    return argv, bad, f"line 3: column {column}: not a number: 'x'"
+
+
+@pytest.mark.parametrize(
+    "loader", ["series", "calibration", "panel", "manifest", "edges", "scenario", *EARLY_FAULT_CASES]
+)
+def test_non_utf8_input_names_file_and_line(tmp_path, capsys, loader):
+    # a byte that is not UTF-8 is named on its own line, after every row
+    # before it: a faulty field before it is the fault named
+    argv, bad, message = non_utf8_case(tmp_path, loader)
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
 
 # each input kind: its file, a valid text of it, and the command that reads it

@@ -460,7 +460,7 @@ def test_synthesize_counts_and_totals():
     for year, cfg in CALIB.items():
         recs = panel.records[year]
         assert len(recs) == cfg["n_banks"]
-        total = sum(r.total_exposure() for r in recs)
+        total = sum(sum(r.exposures.values()) for r in recs)
         assert total == pytest.approx(cfg["total_exposure"], rel=1e-9)
 
 
@@ -483,7 +483,7 @@ def test_synthesize_seed_changes_draws():
 def test_synthesize_two_banks_sum():
     spec = {2014: {"n_banks": 2, "total_exposure": 10.0, "country_list": ["DE", "FR"]}}
     panel = synthesize_panel(spec, seed=0)
-    total = sum(r.total_exposure() for r in panel.records[2014])
+    total = sum(sum(r.exposures.values()) for r in panel.records[2014])
     assert total == pytest.approx(10.0, rel=1e-12)
 
 
@@ -519,13 +519,9 @@ def test_synthesize_invariants(seed, n, total, sigma):
     panel = synthesize_panel(spec, seed=seed, sigma=sigma)
     recs = panel.records[2020]
     assert len(recs) == n
-    assert sum(r.total_exposure() for r in recs) == pytest.approx(total, rel=1e-9)
+    assert sum(sum(r.exposures.values()) for r in recs) == pytest.approx(total, rel=1e-9)
     assert all(v >= 0 for r in recs for v in r.exposures.values())
     assert len({r.lei for r in recs}) == n
     again = synthesize_panel(spec, seed=seed, sigma=sigma)
     assert again == panel
 
-
-def test_bank_record_total_exposure():
-    r = BankRecord(lei("aa"), "A", "DE", 1.0, 1.0, {"FR": 2.0, "IT": 3.0})
-    assert r.total_exposure() == 5.0

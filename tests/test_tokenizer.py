@@ -2,10 +2,13 @@
 row-by-row readers they replace: every generated edge list gives the same
 graph, bit for bit, or the same InputError text, and every generated table
 the same rows and line numbers up to the same error. The block size is set
-to a few characters, so that faults fall on both sides of a block
-boundary."""
+to a few bytes, so that faults fall on both sides of a block boundary. A
+byte that is not UTF-8 is named after the rows before it: the reader gives
+the row-by-row reader's fault on the lines before the byte, if any, and the
+byte's error otherwise."""
 
 import csv
+import io
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -18,7 +21,7 @@ from hypothesis import strategies as st
 from fragnet import panel
 from fragnet.errors import InputError
 from fragnet.network import EDGE_HEADER, WeightedGraph, graph_from_edge_csv
-from fragnet.panel import load_panel, open_input, parse_nonnegative, parse_year, read_csv_rows, write_panel
+from fragnet.panel import load_panel, parse_nonnegative, parse_year, read_csv_rows, write_panel
 
 from conftest import bank
 
@@ -28,7 +31,7 @@ from conftest import bank
 
 
 def reference_read_csv(path: Path, header: list[str], what: str):
-    with open_input(path) as fh:
+    with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             first = next(reader, None)
@@ -105,15 +108,16 @@ def reference_graph_from_edge_csv(path: Path) -> WeightedGraph:
 
 LONG = "L" * 200_000  # beyond csv.field_size_limit()
 EDGE = "E" * 131_072  # at csv.field_size_limit()
-# bank ids, some of them holding a comma, a quote, an LF or a CR
-BANKS = ["A", "B", "C", "D", "c,d", 'q"x', "l\nf", "r\rx", " s"]
+# bank ids, some of them holding a comma, a quote, an LF, a CR or characters
+# of two, three and four bytes
+BANKS = ["A", "B", "C", "D", "c,d", 'q"x', "l\nf", "r\rx", " s", "é€𝄞"]
 GOOD_WEIGHTS = ["1.5", "2", "0", "-0.0", " 3 ", "1e-300", "4.25e2"]
 # weights refused, and weights that overflow a degree
 OTHER_WEIGHTS = ["inf", "-inf", "nan", "NaN", "-1", "-1e-9", "1_0", "x", "", "1e308", "1.7976931348623157e308"]
 # year texts refused, of another year, or of 2014 written otherwise
 OTHER_YEARS = ["2_014", "20x4", "", "2015", " 2014", "02014", "2014.0"]
 FAULTS = ["year", "weight", "short", "long_row", "self_loop", "repeat", "nul", "long_field", "edge_field", "overflow"]
-# block sizes in characters: a block of about a line, of a few and of many
+# block sizes in bytes: a block of about a line, of a few and of many
 BLOCKS = [1, 2, 7, 23, 64, 2**16]
 
 
@@ -197,7 +201,7 @@ def read_both(read, reference, text: str, block: int):
         results = []
         for reader in (read, reference):
             try:
-                with mock.patch.object(panel, "_BLOCK_CHARS", block):
+                with mock.patch.object(panel, "_BLOCK_BYTES", block):
                     results.append(reader(path))
             except InputError as exc:
                 results.append(f"error: {exc}")
@@ -304,16 +308,72 @@ def test_crlf_panel_with_quoted_names_loads_equal_to_its_lf_twin(tmp_path):
     assert [r.name for r in load_panel(crlf).records[2014]] == names
 
 
-def test_blocks_end_at_line_breaks_only():
-    # a block holds whole lines, and a CRLF is never split between blocks
-    text = "ab\r\ncd\ref\n\r\ngh\r"
-    for block in range(1, len(text) + 2):
-        fh = mock.Mock()
-        fh.read.side_effect = [text[k:k + block] for k in range(0, len(text), block)] + [""]
-        with mock.patch.object(panel, "_BLOCK_CHARS", block):
-            blocks = list(panel._text_blocks(fh))
-        assert "".join(blocks) == text
-        end = 0
-        for b in blocks[:-1]:
-            end += len(b)
-            assert text[end - 1] in "\r\n" and text[end - 1:end + 1] != "\r\n"
+# invalid UTF-8: a byte that starts no character, and a character cut short
+BAD_BYTES = [b"\xff", b"\xe2\x82"]
+# the faults that name no row, or that the whole list makes
+LIST_FAULTS = ("empty file", "fewer than 2 banks", "the float range")
+
+
+@HYPOTHESIS
+@given(text=edge_lists(), bad=st.sampled_from(BAD_BYTES), at=st.integers(min_value=0), block=st.sampled_from(BLOCKS))
+@example(text="year,bank_i,bank_j,weight\n2014,A,B,1\n2014,B,C,x\n2014,C,D,1\n", bad=b"\xff", at=-1, block=2**16)
+@example(text="year,bank_i,bank_j,weight\n2014,A,B,1\n2014,B,C,1\n2014,A,B,1\n", bad=b"\xe2\x82", at=-2, block=7)
+@example(text='year,bank_i,bank_j,weight\n2014,A,"l\nf",1\n', bad=b"\xff", at=-5, block=1)
+def test_a_bad_byte_is_named_after_the_rows_before_it(text, bad, at, block):
+    # the invalid bytes go in at any place of the text, counted from its end
+    # when `at` is negative
+    raw = text.encode("utf-8")
+    at %= len(raw) + 1
+    raw = raw[:at] + bad + raw[at:]
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        start = exc.start
+    # the lines before the first byte the decoder refuses, and that byte's line
+    lines = io.StringIO(raw[:start].decode("utf-8"), newline="").readlines()
+    if lines and not lines[-1].endswith(("\n", "\r")):
+        lines.pop()
+    before = "".join(lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.csv"
+        path.write_bytes(before.encode("utf-8"))
+        expect = f"{path}: line {len(lines) + 1}: byte {raw[start]:#04x} is not UTF-8"
+        try:
+            reference_graph_from_edge_csv(path)
+        except InputError as exc:
+            if not str(exc).endswith(LIST_FAULTS):
+                expect = str(exc)
+        path.write_bytes(raw)
+        with mock.patch.object(panel, "_BLOCK_BYTES", block), pytest.raises(InputError) as exc:
+            graph_from_edge_csv(path)
+    assert str(exc.value) == expect
+
+
+def test_blocks_end_at_line_breaks_only(tmp_path):
+    # a block holds whole lines, and a CRLF is never split between blocks; a
+    # character of several bytes just before a cut is decoded whole
+    path = tmp_path / "input.txt"
+    for text in ("ab\r\ncd\ref\n\r\ngh\r", "é€\n𝄞\r\n€\r€"):
+        path.write_bytes(text.encode("utf-8"))
+        for block in range(1, len(text.encode("utf-8")) + 2):
+            with mock.patch.object(panel, "_BLOCK_BYTES", block):
+                blocks = list(panel._text_blocks(path))
+            assert "".join(blocks) == text
+            end = 0
+            for b in blocks[:-1]:
+                end += len(b)
+                assert text[end - 1] in "\r\n" and text[end - 1:end + 1] != "\r\n"
+
+
+def test_blocks_before_a_bad_byte_are_its_whole_lines(tmp_path):
+    # the lines before the byte are yielded, and then its error, which counts
+    # LF, CR and CRLF as one line break each
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"ab\r\ncd\ref\n\xe2\x82\xacg\xff\nh\n")
+    for block in range(1, 20):
+        blocks = []
+        with mock.patch.object(panel, "_BLOCK_BYTES", block), pytest.raises(InputError) as exc:
+            for text in panel._text_blocks(path):
+                blocks.append(text)
+        assert str(exc.value) == f"{path}: line 4: byte 0xff is not UTF-8"
+        assert "".join(blocks) == "ab\r\ncd\ref\n"
