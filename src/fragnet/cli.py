@@ -150,10 +150,10 @@ FRAGILITY_HEADER = [
 def cmd_analyze(args) -> int:
     if not 0.0 < args.epsilon < 1.0:
         raise InputError(f"--epsilon must be in (0, 1), got {args.epsilon}")
-    out = _out_dir(args)
 
     if args.series:
         values = load_series_csv(args.series)
+        out = _out_dir(args)
         rows = [
             [
                 year,
@@ -169,6 +169,7 @@ def cmd_analyze(args) -> int:
     if not args.input:
         raise InputError("analyze needs --input or --series")
     panel = load_panel(args.input)
+    out = _out_dir(args)
     frag_rows = []
     centrality_rows = []
     for year in panel.years:
@@ -263,7 +264,6 @@ def cmd_did(args) -> int:
         raise InputError("bootstrap needs --input with a bank panel")
     if args.seed is not None and not args.bootstrap_b:
         raise InputError("--seed applies to the bootstrap only, which --bootstrap-b asks for")
-    out = _out_dir(args)
 
     panel = None
     if args.series:
@@ -282,6 +282,7 @@ def cmd_did(args) -> int:
     if missing:
         raise InputError(f"series lacks configured years: {missing}")
     values = {y: values[y] for y in pre + post}
+    out = _out_dir(args)
 
     series = make_series(values, pre, post)
     level = did_level(series)

@@ -15,12 +15,24 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, InputError
-from .network import WeightedGraph, YearArrays, allocate_arrays, year_arrays
+from .network import WeightedGraph, YearArrays, _denominators, allocate_arrays, year_arrays
 from .panel import ExposurePanel, parse_nonnegative, parse_year, read_csv_rows
-from .spectral import lambda2_quotient, stack_members
+from .spectral import lambda2_factored, lambda2_quotient, stack_members
 
 # fewest bootstrap replications whose percentile interval is reported
 MIN_BOOTSTRAP_B = 100
+
+# resamples of at least this many distinct banks are solved on their
+# factors first (`lambda2_factored`); the dense quotient solve and the
+# factored one tie near 73 distinct banks with 12 countries and near 83
+# with 15 (README)
+_FACTORED_MIN_BANKS = 80
+# bank x country entries per chunk of factored resamples; a chunk holds
+# about 100 bytes per entry, under what the dense solve of a 240-bank year
+# holds
+_FACTORED_CHUNK_ENTRIES = 2**14
+# factored resamples are padded to a multiple of this many banks
+_FACTORED_WIDTH = 32
 
 
 @dataclass
@@ -300,33 +312,95 @@ def _quotients(entries: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.
     return laplacians, degree + counts * between_copies
 
 
+def _factor_quotients(arrays: YearArrays, method: str, banks: np.ndarray, counts: np.ndarray):
+    """(delta, A, G) of `lambda2_factored` for a (k, m) stack of distinct
+    banks with their copies, from the allocation's weights and denominators
+    alone.
+
+    A[d, i, c] is E[i, c] over bank i's denominator for country c (0 where
+    nothing is placed) and G[d, j, home_j] bank j's weight, so A G^T is the
+    directed allocation between single copies. With W = (A G^T + G A^T) / 2,
+    delta_k = sum_l c_l W_kl counts every copy, k's own included, which is
+    A_k . (G^T c) / 2 + G_k . (A^T c) / 2: O(m C) per resample. Each
+    resample's products are calls of one shape, so its values do not depend
+    on the stack.
+    """
+    basis, mass, safe, _ = _denominators(arrays, method, banks, counts)
+    k, m = banks.shape
+    home = arrays.home[banks]
+    A = arrays.E[banks] / safe
+    G = np.zeros(A.shape)
+    G[np.arange(k)[:, None], np.arange(m)[None, :], home] = basis
+    received = (counts[:, None, :] @ A)[:, 0]
+    delta = 0.5 * ((A @ mass[:, :, None])[:, :, 0] + basis * np.take_along_axis(received, home, axis=1))
+    return delta, A, G
+
+
 def lambda2_of_resamples(arrays: YearArrays, method: str, draws: np.ndarray) -> np.ndarray:
     """Algebraic connectivity of the resample network of each row of a
     (B, n) array of drawn bank indices; 0 for a disconnected resample.
 
     A bank drawn c times enters as c twin nodes, so each row is solved on
-    its m x m quotient over its m distinct banks (`lambda2_quotient`), never
-    as the n x n network. Rows are grouped by m and each group is solved in
-    chunks of `stack_members(m)`, one stacked call per chunk; every member
-    is solved on its own, so a row's value does not depend on its group.
+    its m x m quotient over its m distinct banks, never as the n x n
+    network. Rows of fewer than _FACTORED_MIN_BANKS distinct banks are
+    grouped by m and solved densely (`lambda2_quotient`) in chunks of
+    `stack_members(m)`, one stacked call per chunk. The others are solved
+    on the allocation's factors (`lambda2_factored`), each padded with
+    absent banks to the multiple of _FACTORED_WIDTH above m, in chunks of
+    about _FACTORED_CHUNK_ENTRIES bank x country entries taken in order of
+    m; the rows that it does not certify are then solved densely. Every
+    member is solved on its own, so a row's value does not depend on its
+    group, and the rows are allocated in order of m on either path, so an
+    allocation error names the same bank.
     """
     B, n = draws.shape
     ordered = np.sort(draws, axis=1)
     first = np.ones(ordered.shape, dtype=bool)
     first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
     distinct = first.sum(axis=1)
+    order = np.argsort(distinct, kind="stable")
+    large = distinct[order] >= _FACTORED_MIN_BANKS
+
+    def banks_of(rows, m):
+        # the m distinct banks of each row, ascending, and their copies
+        starts = np.nonzero(first[rows])[1].reshape(-1, m)
+        banks = np.take_along_axis(ordered[rows], starts, axis=1)
+        return banks, np.diff(starts, axis=1, append=n).astype(float)
+
     out = np.empty(B)
-    for m in np.unique(distinct).tolist():
-        members = np.nonzero(distinct == m)[0]
-        starts = np.nonzero(first[members])[1].reshape(-1, m)
-        banks = np.take_along_axis(ordered[members], starts, axis=1)
-        counts = np.diff(starts, axis=1, append=n).astype(float)
-        chunk = stack_members(m)
-        for lo in range(0, len(members), chunk):
-            part = slice(lo, lo + chunk)
-            entries, _ = allocate_arrays(arrays, method, banks[part], counts[part])
-            laplacians, twins = _quotients(entries, counts[part])
-            out[members[part]] = lambda2_quotient(laplacians, twins, counts[part])
+
+    def dense(rows):
+        for m in np.unique(distinct[rows]).tolist():
+            members = rows[distinct[rows] == m]
+            banks, counts = banks_of(members, m)
+            chunk = stack_members(m)
+            for lo in range(0, len(members), chunk):
+                part = slice(lo, lo + chunk)
+                entries, _ = allocate_arrays(arrays, method, banks[part], counts[part])
+                laplacians, twins = _quotients(entries, counts[part])
+                out[members[part]] = lambda2_quotient(laplacians, twins, counts[part])
+
+    dense(order[~large])
+    rows = order[large]
+    c = len(arrays.countries)
+    width = -(-distinct // _FACTORED_WIDTH) * _FACTORED_WIDTH
+    for w in np.unique(width[rows]).tolist():
+        wide = rows[width[rows] == w]
+        chunk = max(1, _FACTORED_CHUNK_ENTRIES // (w * c))
+        for lo in range(0, len(wide), chunk):
+            part = wide[lo : lo + chunk]
+            # each row's distinct banks first, then absent banks: no copy,
+            # no factor and no pole
+            delta = np.full((len(part), w), np.inf)
+            A, G = np.zeros((len(part), w, c)), np.zeros((len(part), w, c))
+            counts = np.zeros((len(part), w))
+            for m in np.unique(distinct[part]).tolist():
+                at = np.nonzero(distinct[part] == m)[0]
+                banks, copies = banks_of(part[at], m)
+                delta[at, :m], A[at, :m], G[at, :m] = _factor_quotients(arrays, method, banks, copies)
+                counts[at, :m] = copies
+            out[part] = lambda2_factored(delta, A, G, counts)
+    dense(rows[np.isnan(out[rows])])
     return out
 
 
@@ -366,17 +440,22 @@ def bootstrap_did(
         raise InputError(f"panel lacks configured years: {missing}")
 
     arrays = {y: year_arrays(panel.records[y], warn=False, year=y) for y in all_years}
-    sizes = {y: len(arrays[y].leis) for y in all_years}
     master = int(seed) % (1 << 64)
 
-    # year_arrays guarantees n_t >= 2, so every draw is a network
-    draws = {y: np.empty((B, sizes[y]), dtype=np.intp) for y in all_years}
+    # year_arrays guarantees n_t >= 2, so every draw is a network. One call
+    # draws all of a replicate's years, each year's n_t draws below n_t in
+    # turn: the stream of one call per year
+    n_t = [len(arrays[y].leis) for y in all_years]
+    highs = np.repeat(n_t, n_t)
+    drawn = np.empty((B, len(highs)), dtype=np.intp)
     for b in range(B):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(master, b)))
-        for y in all_years:
-            draws[y][b] = rng.integers(0, sizes[y], size=sizes[y])
-
-    lam2 = {y: lambda2_of_resamples(arrays[y], method, draws[y]) for y in all_years}
+        drawn[b] = rng.integers(0, highs)
+    ends = np.cumsum(n_t).tolist()
+    lam2 = {
+        y: lambda2_of_resamples(arrays[y], method, drawn[:, end - n : end])
+        for y, n, end in zip(all_years, n_t, ends)
+    }
 
     alpha = sum(lam2[y] for y in pre_years) / len(pre_years)
     betas = {y: lam2[y] - alpha for y in post_years}
@@ -384,11 +463,11 @@ def bootstrap_did(
     ci = {}
     p_values = {}
     for y in post_years:
-        draws = betas[y]
-        lo, hi = np.percentile(draws, [2.5, 97.5])
+        beta = betas[y]
+        lo, hi = np.percentile(beta, [2.5, 97.5])
         ci[y] = (float(lo), float(hi))
-        frac_le = float(np.mean(draws <= 0.0))
-        frac_gt = float(np.mean(draws > 0.0))
+        frac_le = float(np.mean(beta <= 0.0))
+        frac_gt = float(np.mean(beta > 0.0))
         p_values[y] = 2.0 * min(frac_le, frac_gt)
 
     return BootstrapResult(

@@ -231,12 +231,34 @@ def _allocate(arrays, method, idx, counts):
     single = idx.ndim == 1
     idx = np.atleast_2d(idx)
     counts = np.ones(idx.shape) if counts is None else np.atleast_2d(np.asarray(counts, dtype=float))
+    k, n = idx.shape
+    home = arrays.home[idx]
+    E = arrays.E[idx]
+    basis, _, safe, placed = _denominators(arrays, method, idx, counts)
+    # flat positions of [d, i, home[d, j]] in the (k, n, m) arrays; they are
+    # in range by construction, and "clip" skips take's bounds check
+    at_home = (len(arrays.countries) * np.arange(k * n)).reshape(k, n, 1) + home[:, None, :]
+    entries = E.take(at_home, mode="clip") * (
+        basis[:, None, :] / safe.take(at_home, mode="clip")
+    )
+    diag = np.arange(n)
+    entries[:, diag, diag] = np.where(counts > 1, entries[:, diag, diag], 0.0)
+    unallocated = arrays.external_dropped[idx] + np.where(placed, 0.0, E).sum(axis=2)
+    if single:
+        return entries[0], unallocated[0], basis[0], safe[0]
+    return entries, unallocated, basis, safe
+
+
+def _denominators(arrays, method, idx, counts):
+    """For a (k, n) stack of draws of banks with their copies: the banks'
+    allocation weights (k, n), each country's weight summed over the copies
+    (k, m), the counterparty denominators (k, n, m), inf where nothing is
+    placed, and where something is (a bool mask of the same shape)."""
     if np.any(counts.sum(axis=1) < 2):
         raise DomainError("a network needs at least 2 banks")
     k, n = idx.shape
     m = len(arrays.countries)
     home = arrays.home[idx]
-    E = arrays.E[idx]
     basis = _allocation_basis(arrays, method, idx)
 
     # per-draw country counts and masses through one bincount over
@@ -274,20 +296,7 @@ def _allocate(arrays, method, idx, counts):
     placed = eligible > 0
     if np.any(placed & (denom <= 0)):
         raise DomainError("zero-weight denominator in weighted allocation")
-
-    safe = np.where(placed, denom, np.inf)
-    # flat positions of [d, i, home[d, j]] in the (k, n, m) arrays; they are
-    # in range by construction, and "clip" skips take's bounds check
-    at_home = (m * np.arange(k * n)).reshape(k, n, 1) + home[:, None, :]
-    entries = E.take(at_home, mode="clip") * (
-        basis[:, None, :] / safe.take(at_home, mode="clip")
-    )
-    diag = rows[0]
-    entries[:, diag, diag] = np.where(counts > 1, entries[:, diag, diag], 0.0)
-    unallocated = arrays.external_dropped[idx] + np.where(placed, 0.0, E).sum(axis=2)
-    if single:
-        return entries[0], unallocated[0], basis[0], safe[0]
-    return entries, unallocated, basis, safe
+    return basis, mass, np.where(placed, denom, np.inf), placed
 
 
 def allocate(

@@ -9,9 +9,12 @@ module that makes one. Most callers need only lambda2 or the eigenvalues:
 once, `lambda2(weights)` is the one-network case, and `fragility_metrics`
 asks for eigenvalues alone. Eigenvectors are computed only by `eigenbasis`,
 for the diffusion dynamics, by `lambda2_cut_bounds`, which screens
-candidate edge cuts from one decomposition, and by the low-rank
-leave-one-out solve of `spectral_centralities`, which needs the full
-graph's Fiedler vector and one eigenvector of each small secular matrix.
+candidate edge cuts from one decomposition, and by `_secular_roots`, the
+one secular kernel, which needs one eigenvector of each small secular
+matrix. It has two callers: the low-rank leave-one-out solve of
+`spectral_centralities`, which also needs the full graph's Fiedler
+vector, and `lambda2_factored`, which solves the bootstrap's large
+resamples on the allocation's factors.
 A graph counts as disconnected when lambda2 < DISCONNECT_TOL * lambda_n;
 floating-point zero eigenvalues are never exact.
 """
@@ -430,77 +433,168 @@ def _leave_one_out_lambda2(weights: np.ndarray, A: np.ndarray, G: np.ndarray) ->
             at = np.nonzero(ok & (sizes == p))[0]
             kept = np.nonzero(explicit[at])[1].reshape(len(at), p)
             banks = part[at]
-            out[banks] = _secular_roots(rows[at], kept, A, G, terms, lo[banks], hi[banks], tol)
+            out[banks] = _secular_roots(rows[at], kept, A, G, lo[banks], hi[banks], tol, terms)
     return out
 
 
-def _secular_roots(rows, kept, A, G, terms, lo, hi, tol):
-    """The leave-one-out lambda2 of `_leave_one_out_lambda2` for a chunk of
-    banks with p explicit banks each; NaN where it does not certify.
+def lambda2_factored(delta: np.ndarray, A: np.ndarray, G: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Algebraic connectivity of each network of a stack given by its twin
+    quotient in factor form; NaN for every member this does not certify.
 
-    rows[k] holds the diagonal Delta of bank k's remainder (inf at the bank
-    itself), kept[k] its explicit banks and [lo, hi] its starting bracket;
-    all three are overwritten.
+    Member k holds counts[k, j] twin copies of bank j (0 for a padding slot,
+    whose delta is inf and whose factors are 0). Its quotient is
+    S = diag(delta) - V S0 V^T with V = sqrt(c) [A, G], S0 = [[0, I], [I, 0]]
+    / 2 and one entry in every row of G, so that A G^T is the directed
+    allocation between single copies, its diagonal the weight between two
+    copies of a bank. delta[k, j] is then the twin value of a bank drawn
+    twice or more (see `lambda2_quotient`): the least of them caps lambda2,
+    which below that cap is the second eigenvalue of S. Without a twin, or
+    where it is lower, Fiedler's n / (n - 1) times the least degree caps
+    the bracket instead. `_secular_roots` counts and closes the bracket on
+    the low-rank form, with no m x m matrix, and certifies the twin cap by
+    one count at it. A member stays NaN where its lambda2 may lie below
+    2 * DISCONNECT_TOL times 2 max(delta), which bounds twice lambda_n; where
+    more than _LOO_MAX_EXPLICIT banks would stay explicit, a country would
+    keep no folded bank or the column scaling leaves the float range; and
+    where `_secular_roots` leaves it so. A certified lambda2 therefore
+    passes the disconnect rule. delta, A and G are overwritten.
+    """
+    k, m, c = A.shape
+    out = np.full(k, np.nan)
+    # values that leave the float range (a sum of squares of exposures
+    # near it, say) leave their member NaN through the tests below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        top = 2.0 * np.where(counts > 0, delta, 0.0).max(axis=1)
+        tol = _LOO_TOL * top
+        lo = 2.0 * DISCONNECT_TOL * top
+        twin = np.where(counts > 1, delta, np.inf).min(axis=1)
+        n = counts.sum(axis=1)
+        # the degree of one copy is delta less the weight between two copies
+        degree = delta - np.einsum("kjc,kjc->kj", A, G)
+        fiedler = n / (n - 1.0) * degree.min(axis=1) + tol
+        closed = twin <= fiedler
+        hi = np.where(closed, twin, fiedler)
+        root = np.sqrt(counts)[:, :, None]
+        A *= root
+        G *= root
+        # scale the columns of one country to equal norms; V S0 V^T is unchanged
+        norm_a, norm_g = np.linalg.norm(A, axis=1), np.linalg.norm(G, axis=1)
+        alpha = np.sqrt(np.divide(norm_g, norm_a, out=np.ones((k, c)), where=(norm_a > 0) & (norm_g > 0)))
+        A *= alpha[:, None, :]
+        G /= alpha[:, None, :]
+    # the banks whose pole lies within the bracket stay explicit, and at
+    # least the least one, so that most members share one size of H
+    explicit = delta <= np.maximum(hi, delta.min(axis=1))[:, None]
+    sizes = explicit.sum(axis=1)
+    # each country must keep a bank in Q
+    folded = ((G != 0) & ~explicit[:, :, None]).any(axis=1)
+    scaled = (np.isfinite(alpha) & (alpha > 0)).all(axis=1)
+    ok = (sizes <= _LOO_MAX_EXPLICIT) & (lo < hi) & folded.all(axis=1) & scaled
+    for p in np.unique(sizes[ok]).tolist():
+        at = np.nonzero(ok & (sizes == p))[0]
+        kept = np.nonzero(explicit[at])[1].reshape(len(at), p)
+        # one group of every member takes the arrays themselves
+        at = slice(None) if len(at) == k else at
+        out[at] = _secular_roots(delta[at], kept, A[at], G[at], lo[at], hi[at], tol[at], closed=closed[at])
+    return out
+
+
+def _secular_roots(rows, kept, A, G, lo, hi, tol, terms=None, closed=None):
+    """lambda2 of each member of a stack in the factor form of
+    `_leave_one_out_lambda2`, L = diag(Delta) - U S U^T with U = [A, G],
+    for members with p explicit banks each; NaN where it does not certify.
+
+    rows[k] holds member k's diagonal Delta (inf at a bank it lacks), kept[k]
+    its explicit banks, [lo, hi] its starting bracket and tol (a scalar or
+    one per member) the width to close it to; rows, lo and hi are
+    overwritten. The factors are (n, c), shared by every member, with
+    `terms` their per-bank products, or a (k, n, c) stack, one per member,
+    whose sums each member forms in products of a fixed shape, so that its
+    root does not depend on the other members. Where closed[k] is set, hi
+    is a bound that lambda2 may attain: a count at hi that finds at most one
+    eigenvalue below it gives lambda2 = hi; elsewhere it certifies nothing.
+    A member whose secular matrix leaves the float range stays NaN.
     """
     k, p = kept.shape
-    c = A.shape[1]
+    c = A.shape[-1]
+    stacked = A.ndim == 3
+    tol = np.broadcast_to(tol, (k,))
+    closed = np.zeros(k, dtype=bool) if closed is None else closed
     at = np.arange(k)[:, None]
+    a_kept, g_kept = (A[at, kept], G[at, kept]) if stacked else (A[kept], G[kept])
     shifted = rows[at, kept]
     rows[at, kept] = np.inf
     # B = [G_P; 2I - Y] borders the G-block; H = [[Delta_P - mu, A_P],
     # [A_P^T, -X]] + B diag(1 / g) B^T
     head = np.zeros((k, p + c, p + c))
-    head[:, :p, p:] = A[kept]
-    head[:, p:, :p] = A[kept].transpose(0, 2, 1)
+    head[:, :p, p:] = a_kept
+    head[:, p:, :p] = a_kept.transpose(0, 2, 1)
     border = np.zeros((k, p + c, c))
-    border[:, :p] = G[kept]
+    border[:, :p] = g_kept
     ip, ic = np.arange(p), np.arange(c)
     out = np.full(k, np.nan)
     lo_ok = np.zeros(k, dtype=bool)
     mu = hi.copy()
     act = np.arange(k)
-    for _ in range(_LOO_ROUNDS):
-        m = mu[act]
-        rho = 1.0 / (rows[act] - m[:, None])
-        sums = rho @ terms
-        H = head[act]
-        H[:, ip, ip] = shifted[act] - m[:, None]
-        H[:, p:, p:] = -sums[:, : c * c].reshape(-1, c, c)
-        B = border[act]
-        B[:, p:] = -sums[:, c * c :].reshape(-1, c, c)
-        B[:, p + ic, ic] += 2.0
-        g = rho @ (G * G)
-        H += (B / g[:, None, :]) @ B.transpose(0, 2, 1)
-        ev, vecs = _eigh(H, eigvals_only=False)
-        kappa = ev[:, 1]
-        y = vecs[:, :, 1]
-        # the slope y^T H' y, through the eliminated G-part B^T y / g
-        z = np.einsum("kic,ki->kc", B, y) / g
-        proj = y[:, p:] @ A.T + z @ G.T
-        proj *= rho
-        slope = -np.einsum("ki,ki->k", y[:, :p], y[:, :p]) - np.einsum("kj,kj->k", proj, proj)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    # values beyond the float range fail their member, with no warning
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        square = G * G
+        for _ in range(_LOO_ROUNDS):
+            m = mu[act]
+            rho = 1.0 / (rows[act] - m[:, None])
+            if stacked:
+                a, g_act, sq = (A, G, square) if len(act) == k else (A[act], G[act], square[act])
+                weighted = (rho[:, :, None] * a).transpose(0, 2, 1)
+                X, Y = weighted @ a, weighted @ g_act
+                g = (rho[:, None, :] @ sq)[:, 0]
+            else:
+                sums = rho @ terms
+                X = sums[:, : c * c].reshape(-1, c, c)
+                Y = sums[:, c * c :].reshape(-1, c, c)
+                g = rho @ square
+            H = head[act]
+            H[:, ip, ip] = shifted[act] - m[:, None]
+            H[:, p:, p:] = -X
+            B = border[act]
+            B[:, p:] = -Y
+            B[:, p + ic, ic] += 2.0
+            H += (B / g[:, None, :]) @ B.transpose(0, 2, 1)
+            # a secular matrix beyond the float range certifies nothing
+            lost = ~(np.isfinite(H).all(axis=(1, 2)) & np.isfinite(g).all(axis=1))
+            H[lost] = 0.0
+            ev, vecs = _eigh(H, eigvals_only=False)
+            kappa = ev[:, 1]
+            y = vecs[:, :, 1]
+            # the slope y^T H' y, through the eliminated G-part B^T y / g
+            z = np.einsum("kic,ki->kc", B, y) / g
+            if stacked:
+                proj = (y[:, None, p:] @ a.transpose(0, 2, 1) + z[:, None, :] @ g_act.transpose(0, 2, 1))[:, 0]
+            else:
+                proj = y[:, p:] @ A.T + z @ G.T
+            proj *= rho
+            slope = -np.einsum("ki,ki->k", y[:, :p], y[:, :p]) - np.einsum("kj,kj->k", proj, proj)
             newton = m - kappa / slope
             # the rounding in H moves the root by about eps |H| / |slope|
             blur = np.finfo(float).eps * np.linalg.norm(H, axis=(1, 2)) / -slope
-        # kappa >= 0: at most one eigenvalue of the remainder lies below m
-        below = kappa >= 0
-        # an end that fails its count, or a count that cannot resolve the
-        # bracket, certifies nothing
-        fail = np.where(below, m >= hi[act], m <= lo[act]) | ~(blur <= _LOO_BLUR * tol)
-        lo[act] = np.where(below, m, lo[act])
-        hi[act] = np.where(below, hi[act], m)
-        lo_ok[act] |= below
-        done = lo_ok[act] & (hi[act] - lo[act] <= tol) & ~fail
-        out[act[done]] = np.clip(newton[done], lo[act[done]], hi[act[done]])
-        # step just past the Newton point, so that the next count lands on
-        # the far side of the root once Newton is that close
-        step = newton + np.where(below, 0.25 * tol, -0.25 * tol)
-        inside = (step > lo[act]) & (step < hi[act])
-        fallback = np.where(lo_ok[act], 0.5 * (lo[act] + hi[act]), lo[act])
-        mu[act] = np.where(inside, step, fallback)
-        act = act[~(done | fail)]
-        if not len(act):
-            break
+            # kappa >= 0: at most one eigenvalue of the network lies below m
+            below = kappa >= 0
+            # an end that fails its count, or a count that cannot resolve the
+            # bracket, certifies nothing
+            w = tol[act]
+            fail = np.where(below, (m >= hi[act]) & ~closed[act], m <= lo[act])
+            fail |= ~(blur <= _LOO_BLUR * w) | lost
+            lo[act] = np.where(below, m, lo[act])
+            hi[act] = np.where(below, hi[act], m)
+            lo_ok[act] |= below
+            done = lo_ok[act] & (hi[act] - lo[act] <= w) & ~fail
+            out[act[done]] = np.clip(newton[done], lo[act[done]], hi[act[done]])
+            # step just past the Newton point, so that the next count lands on
+            # the far side of the root once Newton is that close
+            step = newton + np.where(below, 0.25 * w, -0.25 * w)
+            inside = (step > lo[act]) & (step < hi[act])
+            fallback = np.where(lo_ok[act], 0.5 * (lo[act] + hi[act]), lo[act])
+            mu[act] = np.where(inside, step, fallback)
+            act = act[~(done | fail)]
+            if not len(act):
+                break
     return out
-

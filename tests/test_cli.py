@@ -280,6 +280,28 @@ def test_did_bootstrap_seed_defaults_to_42(tmp_path):
         assert (tmp_path / "default" / name).read_bytes() == (tmp_path / "given" / name).read_bytes()
 
 
+@pytest.mark.parametrize("command", ["analyze", "did"])
+def test_unreadable_input_makes_no_output_directory(tmp_path, capsys, command):
+    # the output directory is made once the input has been read; an input
+    # error used to leave it behind, empty
+    series = tmp_path / "series.csv"
+    series.write_text("year,lambda2\n2014,x\n2016,1.5\n", encoding="utf-8")
+    panel = tmp_path / "panel.csv"
+    assert main(["synth", "--calib", str(write_calibration(tmp_path / "calib.json")), "--out", str(panel)]) == 0
+    lines = panel.read_text(encoding="utf-8").splitlines(keepends=True)
+    cells = lines[1].split(",")
+    cells[4] = "x"
+    bad_panel = tmp_path / "bad_panel.csv"
+    bad_panel.write_text(lines[0] + ",".join(cells) + "".join(lines[2:]), encoding="utf-8")
+    for flag, path in (("--series", series), ("--input", bad_panel)):
+        out = tmp_path / f"o{flag}"
+        rc = main([command, flag, str(path), "--out", str(out)])
+        assert rc == 2, flag
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: line 2: ") and err.count("\n") == 1, err
+        assert not out.exists(), flag
+
+
 def test_analyze_needs_input_or_series(tmp_path, capsys):
     rc = main(["analyze", "--out", str(tmp_path / "o")])
     assert rc == 2

@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -6,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bank, complete_graph, graph_of, lei
-from fragnet.cli import DEFAULT_CALIBRATION
+from fragnet import inference
+from fragnet.cli import DEFAULT_CALIBRATION, EURO_COUNTRIES
 from fragnet.errors import DomainError, InputError
 from fragnet.inference import (
     balanced_panel,
@@ -23,7 +27,7 @@ from fragnet.inference import (
     placebo_test,
     policy_calculators,
 )
-from fragnet.network import METHODS, allocate, symmetrize, year_arrays
+from fragnet.network import METHODS, allocate, allocate_arrays, symmetrize, year_arrays
 from fragnet.panel import ExposurePanel, synthesize_panel
 from fragnet.spectral import lambda2
 from oracles import resample_lambda2, resample_weights
@@ -291,6 +295,32 @@ def test_bootstrap_is_deterministic_per_seed():
     assert any(not np.array_equal(a.replicates[y], c.replicates[y]) for y in POST)
 
 
+@pytest.mark.parametrize("sizes", [[61, 37, 30, 31, 33], [240, 180, 120, 90, 60]])
+def test_one_draw_call_per_replicate_is_the_stream_of_one_call_per_year(sizes):
+    # bootstrap_did draws all of a replicate's years in one call
+    highs = np.repeat(sizes, sizes)
+    for b in range(50):
+        one = np.random.default_rng(np.random.SeedSequence(entropy=(42, b))).integers(0, highs)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(42, b)))
+        per_year = np.concatenate([rng.integers(0, n, size=n) for n in sizes])
+        assert np.array_equal(one, per_year), b
+
+
+def test_bootstrap_replicates_come_from_per_year_draws():
+    panel = synthesize_panel(tiny_calibration(), seed=5)
+    boot = bootstrap_did(panel, B=100, seed=9)
+    arrays = {y: year_arrays(panel.records[y], warn=False) for y in PRE + POST}
+    draws = {y: [] for y in arrays}
+    for b in range(100):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(9, b)))
+        for y, a in arrays.items():
+            draws[y].append(rng.integers(0, len(a.leis), size=len(a.leis)))
+    lam2 = {y: lambda2_of_resamples(arrays[y], "equal", np.array(draws[y])) for y in arrays}
+    alpha = sum(lam2[y] for y in PRE) / len(PRE)
+    for year in POST:
+        assert np.array_equal(boot.replicates[year], lam2[year] - alpha)
+
+
 def test_bootstrap_summary_matches_replicates():
     panel = synthesize_panel(tiny_calibration(), seed=5)
     boot = bootstrap_did(panel, B=120, seed=9)
@@ -527,15 +557,139 @@ def test_quotient_resamples_match_full_solves_at_paper_scale():
 
 
 def test_resample_lambda2_does_not_depend_on_its_group():
-    arrays = paper_year_arrays()
+    # the paper year's resamples are solved densely, the 240-bank year's on
+    # their factors
+    for arrays in (paper_year_arrays(), scaled_year_arrays()):
+        n = len(arrays.leis)
+        draws = np.random.default_rng(5).integers(0, n, size=(60, n))
+        for method in METHODS:
+            together = lambda2_of_resamples(arrays, method, draws)
+            alone = np.array([lambda2_of_resamples(arrays, method, d[None])[0] for d in draws])
+            reversed_order = lambda2_of_resamples(arrays, method, draws[::-1])[::-1]
+            halves = np.concatenate([lambda2_of_resamples(arrays, method, part) for part in (draws[:23], draws[23:])])
+            assert np.array_equal(together, alone), (n, method)
+            assert np.array_equal(together, reversed_order), (n, method)
+            assert np.array_equal(together, halves), (n, method)
+
+
+@lru_cache(maxsize=1)
+def _scaled_year():
+    calibration = {2014: {"n_banks": 240, "total_exposure": 79317.0 * 240 / 61, "country_list": EURO_COUNTRIES}}
+    return year_arrays(synthesize_panel(calibration, seed=42).records[2014], warn=False)
+
+
+def scaled_year_arrays():
+    """A 240-bank year of 15 countries, whose resamples (about 150 distinct
+    banks) are solved on their factors; a copy the caller may change."""
+    arrays = _scaled_year()
+    return dataclasses.replace(arrays, E=arrays.E.copy(), assets=arrays.assets.copy())
+
+
+def factored_calls(monkeypatch):
+    """The certified values `lambda2_factored` returns, call by call."""
+    calls = []
+    factored = inference.lambda2_factored
+
+    def record(*args):
+        calls.append(factored(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(inference, "lambda2_factored", record)
+    return calls
+
+
+def twin_caps(arrays, method, draws):
+    """The least twin value of each resample (inf with no twin), from the
+    dense allocation of its distinct banks."""
+    caps = []
+    for draw in draws:
+        banks, counts = np.unique(draw, return_counts=True)
+        entries, _ = allocate_arrays(arrays, method, banks, counts)
+        twin = ((entries + entries.T) / 2.0) @ counts
+        caps.append(twin[counts > 1].min(initial=np.inf))
+    return np.array(caps)
+
+
+def test_factored_resamples_match_dense_and_full_solves(monkeypatch):
+    # the 240-bank year's resamples are solved on their factors; each value
+    # is held to the dense quotient solve, and six, one of them capped by
+    # its least twin value, to the full n x n network
+    arrays = scaled_year_arrays()
     n = len(arrays.leis)
-    draws = np.random.default_rng(5).integers(0, n, size=(60, n))
+    draws = np.random.default_rng(11).integers(0, n, size=(40, n))
     for method in METHODS:
-        together = lambda2_of_resamples(arrays, method, draws)
-        alone = np.array([lambda2_of_resamples(arrays, method, d[None])[0] for d in draws])
-        reversed_order = lambda2_of_resamples(arrays, method, draws[::-1])[::-1]
-        assert np.array_equal(together, alone), method
-        assert np.array_equal(together, reversed_order), method
+        calls = factored_calls(monkeypatch)
+        got = lambda2_of_resamples(arrays, method, draws)
+        certified = np.concatenate(calls)
+        assert len(certified) == len(draws) and not np.isnan(certified).any(), method
+        monkeypatch.undo()
+        monkeypatch.setattr(inference, "_FACTORED_MIN_BANKS", n + 1)
+        dense = lambda2_of_resamples(arrays, method, draws)
+        monkeypatch.undo()
+        np.testing.assert_allclose(got, dense, rtol=1e-12, atol=0, err_msg=method)
+        capped = np.isclose(got, twin_caps(arrays, method, draws), rtol=1e-12, atol=0)
+        assert capped.any(), method
+        picks = [np.argmax(capped), *np.nonzero(~capped)[0][:5]]
+        want = oracle_lambda2(arrays, method, draws[picks])
+        np.testing.assert_allclose(got[picks], want, rtol=1e-12, atol=0, err_msg=method)
+
+
+def test_factored_resample_that_may_be_disconnected_is_solved_densely(monkeypatch):
+    # the banks of the first country lend only to it and no other bank
+    # lends to it, so every resample that holds one of them and another
+    # bank is disconnected: its factored bracket reaches the disconnect
+    # floor and the dense solve gives 0
+    arrays = scaled_year_arrays()
+    n = len(arrays.leis)
+    inside = arrays.home == 0
+    arrays.E[~inside, 0] = 0.0
+    arrays.E[np.ix_(inside, np.arange(1, len(arrays.countries)))] = 0.0
+    draws = np.random.default_rng(4).integers(0, n, size=(3, n))
+    assert inside[draws].any(axis=1).all()
+    for method in METHODS:
+        calls = factored_calls(monkeypatch)
+        assert np.array_equal(lambda2_of_resamples(arrays, method, draws), np.zeros(3)), method
+        assert np.isnan(np.concatenate(calls)).all(), method
+        monkeypatch.undo()
+    assert oracle_lambda2(arrays, "equal", draws[:1])[0] == 0.0
+
+
+@pytest.mark.parametrize("scale", ["exposures 1e290", "exposures 1e-290", "assets 1e300"])
+def test_factored_resamples_near_the_ends_of_the_float_range(monkeypatch, scale):
+    # sums of squares of such factors leave the float range: the resamples
+    # concerned fall back to the dense solve, with no error and no warning
+    arrays = scaled_year_arrays()
+    n = len(arrays.leis)
+    if scale.startswith("exposures"):
+        arrays.E *= float(scale.split()[1])
+    else:
+        arrays.assets[arrays.home == 0] *= 1e300
+    draws = np.random.default_rng(11).integers(0, n, size=(10, n))
+    for method in ("equal", "size_weighted"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = lambda2_of_resamples(arrays, method, draws)
+        monkeypatch.setattr(inference, "_FACTORED_MIN_BANKS", n + 1)
+        dense = lambda2_of_resamples(arrays, method, draws)
+        monkeypatch.undo()
+        np.testing.assert_allclose(got, dense, rtol=1e-12, atol=0, err_msg=method)
+
+
+def test_factored_resample_error_names_bank_without_assets(monkeypatch):
+    # the factored solve checks the allocation weights as the dense one
+    # does, and names the same bank
+    arrays = scaled_year_arrays()
+    n = len(arrays.leis)
+    draws = np.random.default_rng(11).integers(0, n, size=(40, n))
+    arrays.assets[draws[7, 3]] = 0.0
+    arrays.assets[draws[20, 5]] = 0.0
+    with pytest.raises(DomainError) as factored:
+        lambda2_of_resamples(arrays, "size_weighted", draws)
+    monkeypatch.setattr(inference, "_FACTORED_MIN_BANKS", n + 1)
+    with pytest.raises(DomainError) as dense:
+        lambda2_of_resamples(arrays, "size_weighted", draws)
+    assert str(factored.value) == str(dense.value)
+    assert "size_weighted allocation needs positive total_assets" in str(factored.value)
 
 
 def test_resample_error_names_bank_without_assets():
