@@ -172,6 +172,9 @@ def cmd_analyze(args) -> int:
     out = _out_dir(args)
     frag_rows = []
     centrality_rows = []
+    # every year is computed before the first file is written, so a run
+    # that fails leaves no outputs behind
+    spectra = {}
     for year in panel.years:
         directed = allocate(panel.records[year], args.method, year)
         graph = symmetrize(directed, year)
@@ -205,8 +208,9 @@ def cmd_analyze(args) -> int:
             for bank, sc in spectral_centralities(graph, directed.factors, m.lambda2).items():
                 centrality_rows.append([year, bank, _fmt(sc)])
         if args.spectra:
-            spectrum = {"eigenvalues": m.eigenvalues.tolist(), "bank_order": graph.banks, "normalized": False}
-            write_json(out / f"spectrum_{year}.json", spectrum)
+            spectra[year] = {"eigenvalues": m.eigenvalues.tolist(), "bank_order": graph.banks, "normalized": False}
+    for year, spectrum in spectra.items():
+        write_json(out / f"spectrum_{year}.json", spectrum)
     write_csv(out / "fragility.csv", FRAGILITY_HEADER, frag_rows)
     write_csv(out / "centrality.csv", ["year", "bank", "spectral_centrality"], centrality_rows)
     return 0

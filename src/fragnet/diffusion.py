@@ -32,10 +32,6 @@ from .spectral import (
 # and recorded; the record is allocated up front
 MAX_WINDOWS = 100_000
 
-# cells (windows x live banks) of a cascade's states held between writes
-# into its record
-_STATE_BUFFER_CELLS = 2**12
-
 
 @dataclass
 class DistressState:
@@ -187,8 +183,9 @@ def cascade_stress_test(
     The live subnetwork evolves in windows of length dt; at each window end
     every live bank whose distress has reached its capital fails, its
     remaining distress is logged as a loss and removed, and the operator is
-    rebuilt on the survivors. Failure checks happen only at window ends, and
-    a window whose distress is no longer finite raises a DomainError.
+    rebuilt on the survivors. Failure checks happen only at window ends. A
+    window whose distress is no longer finite raises a DomainError; each
+    run of windows is checked when a failure round or the horizon ends it.
     """
     graph.validate()
     if dt <= 0:
@@ -221,11 +218,7 @@ def cascade_stress_test(
     distress = np.full((n_windows + 1, graph.n), np.nan)
     distress[0] = 0.0
     live_cap = cap
-    # each window's state is buffered, and the buffered windows go into the
-    # record, checked for finiteness, at each failure round, at the end and
-    # whenever they fill the buffer
-    buffer = np.empty((max(1, _STATE_BUFFER_CELLS // graph.n), graph.n))
-    filled = 0
+    start = 1  # the first window of the live set's run not yet checked
     # an overflowing window is caught by the finiteness check below, so
     # NumPy's own warnings stay silent
     with np.errstate(over="ignore", invalid="ignore"):
@@ -233,21 +226,17 @@ def cascade_stress_test(
         for k in range(1, n_windows + 1):
             times[k] = min(k * dt, horizon)
             x = stepper.advance(x, shock.onset, times[k - 1], times[k])
-            buffer[filled] = x
-            filled += 1
-
+            distress[k, live] = x
             hit = x >= live_cap
             failing = hit.any()
-            if failing or filled == len(buffer) or k == n_windows:
-                # windows k - filled + 1 to k; every earlier one went in
-                # finite, so the first one here that is not is the first of all
-                block = buffer[:filled]
-                finite = np.isfinite(block)
+            if failing or k == n_windows:
+                # windows start to k of the run; every earlier one is finite,
+                # so the first one here that is not is the first of all
+                finite = np.isfinite(distress[start:k + 1, live]).all(axis=1)
                 if not finite.all():
-                    bad = k - filled + 1 + int(np.argmin(finite.all(axis=1)))
+                    bad = start + int(np.argmin(finite))
                     raise DomainError(f"window {bad}: distress is no longer finite (float overflow)")
-                distress[k - filled + 1:k + 1, live] = block
-                filled = 0
+                start = k + 1
             if failing:
                 rounds += 1
                 last_failure_time = float(times[k])
@@ -262,7 +251,6 @@ def cascade_stress_test(
                 live_cap = cap[live]
                 lam, vec = eigenbasis(graph.weights[np.ix_(live, live)])
                 stepper = _Stepper(lam, vec, f_full[live])
-                buffer = np.empty((max(1, _STATE_BUFFER_CELLS // live.size), live.size))
 
     # lam holds the survivors' eigenvalues whenever any bank survives
     post_lambda2 = float(_lambda2_of(lam)) if len(live) >= 2 else 0.0
@@ -441,8 +429,10 @@ def load_scenario(path: str | Path, graph: WeightedGraph) -> tuple[ForcingSpec, 
     """Parse a scenario JSON: shock map, onset, horizon, dt, capitals map.
 
     Every value must be a finite JSON number; strings, booleans, NaN and
-    infinities are rejected with the file and the field named, and so is a
-    horizon of more than MAX_WINDOWS windows of length dt.
+    infinities are rejected with the file and the field named, and so are
+    a dt that is not positive, a horizon shorter than one dt or of more
+    than MAX_WINDOWS windows of length dt, and a capital that is not
+    positive.
     """
     path = Path(path)
     doc = read_json_object(path, "scenario")
@@ -465,10 +455,17 @@ def load_scenario(path: str | Path, graph: WeightedGraph) -> tuple[ForcingSpec, 
         )
     shock = {b: json_number(path, f"field shock[{b!r}]", v) for b, v in doc["shock"].items()}
     capitals = {b: json_number(path, f"field capitals[{b!r}]", v) for b, v in doc["capitals"].items()}
+    for b, v in capitals.items():
+        if v <= 0:
+            raise InputError(f"{path}: field capitals[{b!r}] must be positive, got {v!r}")
     onset, horizon, dt = (
         json_number(path, f"field {key!r}", doc.get(key, 0.0)) for key in ("onset", "horizon", "dt")
     )
-    if dt > 0 and horizon / dt > MAX_WINDOWS:
+    if dt <= 0:
+        raise InputError(f"{path}: field 'dt' must be positive, got {dt!r}")
+    if horizon < dt:
+        raise InputError(f"{path}: scenario field 'horizon' {horizon!r} is shorter than one window of 'dt' {dt!r}")
+    if horizon / dt > MAX_WINDOWS:
         raise InputError(
             f"{path}: scenario fields 'horizon' {horizon!r} and 'dt' {dt!r} make "
             f"{horizon / dt:.6g} windows, more than the {MAX_WINDOWS} allowed"

@@ -163,23 +163,16 @@ def year_arrays(records: list[BankRecord], warn: bool = True, year: int | None =
 def _allocation_basis(arrays: YearArrays, method: str, idx: np.ndarray) -> np.ndarray:
     if method == "equal":
         return np.ones(idx.shape)
-    if method == "size_weighted":
-        basis = arrays.assets[idx]
-        if np.any(basis <= 0):
-            bad = arrays.leis[int(idx.flat[int(np.argmin(basis))])]
-            raise DomainError(
-                f"size_weighted allocation needs positive total_assets, bank {bad} has none"
-            )
-        return basis
-    if method == "exposure_weighted":
-        basis = arrays.portfolios[idx]
-        if np.any(basis <= 0):
-            bad = arrays.leis[int(idx.flat[int(np.argmin(basis))])]
-            raise DomainError(
-                f"exposure_weighted allocation needs a positive portfolio, bank {bad} has none"
-            )
-        return basis
-    raise InputError(f"unknown allocation method {method!r}, expected one of {METHODS}")
+    if method not in METHODS:
+        raise InputError(f"unknown allocation method {method!r}, expected one of {METHODS}")
+    sized = method == "size_weighted"
+    basis = (arrays.assets if sized else arrays.portfolios)[idx]
+    if np.any(basis <= 0):
+        bad = arrays.leis[int(idx.flat[int(np.argmin(basis))])]
+        year = "" if arrays.year is None else f"year {arrays.year}: "
+        need = "positive total_assets" if sized else "a positive portfolio"
+        raise DomainError(f"{year}{method} allocation needs {need}, bank {bad} has none")
+    return basis
 
 
 def allocate_arrays(
@@ -456,8 +449,8 @@ def graph_from_edge_csv(path: str | Path) -> WeightedGraph:
     one row's faults the first of: the year, the weight, a year other than
     the first edge's, a self-loop, a repeated pair.
 
-    The list is read and checked a block of rows at a time; repeated pairs
-    are found over the whole list at its end.
+    The list is read a block of rows at a time, and each block is checked
+    whole; repeated pairs are found over the whole list at its end.
     """
     path = Path(path)
     # bank -> its index, in order of first appearance
@@ -514,57 +507,11 @@ def _edge_block(path: Path, lines, columns, seen: dict[str, int], first):
     or None: (first, count, pairs, weights, fault), with the rows' bank
     index pairs and weights, of which the first `count` rows hold no fault,
     and the next row's fault (an InputError) or None. New banks are indexed
-    into `seen`."""
+    into `seen`.
+
+    The block is checked whole; only a block that fails goes through the
+    row rules, which name its first faulty row."""
     years_s, banks_i, banks_j, weights_s = columns
-    count, fault = len(lines), None
-
-    def at(k: int, exc: InputError) -> None:
-        # a fault of row k, which wins over any later row's
-        nonlocal count, fault
-        if k < count:
-            count, fault = k, exc
-
-    # each distinct year text parsed once, in order of first appearance, up
-    # to the first that is not a year or not the list's year: its first row
-    # and its year (None when it is not a year)
-    odd = odd_year = None
-    texts = [years_s[0]] if years_s.count(years_s[0]) == len(years_s) else dict.fromkeys(years_s)
-    for text in texts:
-        try:
-            year = parse_year(text, path, None)
-        except InputError:
-            year = None
-        if first is None and year is not None:
-            first = year, lines[0]
-        if year is None or year != first[0]:
-            odd, odd_year = years_s.index(text), year
-            break
-    if odd is not None and odd_year is None:
-        at(odd, _fault(parse_year, years_s[odd], path, lines[odd]))
-
-    try:
-        if "_" in "".join(weights_s):
-            raise ValueError("an underscore")
-        w = np.fromiter(map(float, weights_s), float, len(weights_s))
-    except ValueError:
-        # the reading ends at the first row the number rule refuses, so the
-        # weights before it are never used
-        w = np.zeros(len(weights_s))
-        k = next(
-            k for k, text in enumerate(weights_s) if _fault(parse_nonnegative, text, path, lines[k], "weight")
-        )
-    else:
-        bad = np.flatnonzero(~(w >= 0.0) | (w == np.inf))
-        k = int(bad[0]) if bad.size else None
-    if k is not None:
-        at(k, _fault(parse_nonnegative, weights_s[k], path, lines[k], "weight"))
-
-    if odd_year is not None:
-        at(odd, InputError(
-            f"{path}: line {lines[odd]}: year {odd_year} differs from year {first[0]} "
-            f"on line {first[1]}; an edge list holds one year"
-        ))
-
     # each row's two banks in turn
     both = [None] * (2 * len(banks_i))
     both[0::2] = banks_i
@@ -576,20 +523,35 @@ def _edge_block(path: Path, lines, columns, seen: dict[str, int], first):
             seen.setdefault(bank, len(seen))
         pairs = np.fromiter(map(seen.__getitem__, both), np.intp, len(both))
     pairs = pairs.reshape(-1, 2)
-    loops = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
-    if loops.size:
-        k = int(loops[0])
-        at(k, InputError(f"{path}: line {lines[k]}: self-loop on {banks_i[k]}"))
-    return first, count, pairs, w, fault
 
-
-def _fault(check, *args) -> InputError | None:
-    """The InputError that check(*args) raises, or None."""
     try:
-        check(*args)
-    except InputError as exc:
-        return exc
-    return None
+        years = {parse_year(text, path, None) for text in set(years_s)}
+        w = np.fromiter(map(float, weights_s), float, len(weights_s))
+        year = first[0] if first else parse_year(years_s[0], path, None)
+    except (InputError, ValueError):
+        pass
+    else:
+        if (years == {year} and "_" not in "".join(weights_s) and ((w >= 0.0) & (w < np.inf)).all()
+                and (pairs[:, 0] != pairs[:, 1]).all()):
+            return first or (year, lines[0]), len(lines), pairs, w, None
+
+    w = np.zeros(len(lines))
+    for k, line in enumerate(lines):
+        try:
+            year = parse_year(years_s[k], path, line)
+            w[k] = parse_nonnegative(weights_s[k], path, line, "weight")
+            if first is None:
+                first = year, line
+            if year != first[0]:
+                raise InputError(
+                    f"{path}: line {line}: year {year} differs from year {first[0]} "
+                    f"on line {first[1]}; an edge list holds one year"
+                )
+            if pairs[k, 0] == pairs[k, 1]:
+                raise InputError(f"{path}: line {line}: self-loop on {banks_i[k]}")
+        except InputError as fault:
+            return first, k, pairs, w, fault
+    return first, len(lines), pairs, w, None
 
 
 def _first_repeated_pair(pairs: np.ndarray, n: int) -> tuple[int, int] | None:

@@ -707,6 +707,12 @@ def test_load_scenario_errors(tmp_path):
         ("horizon", 1e6),
         ("dt", 1e-8),
         ("dt", 5e-324),
+        # values no cascade can run
+        ("dt", 0),
+        ("dt", -0.01),
+        ("horizon", 0.001),
+        ("capitals", {"A": 1.0, "B": 0.0, "C": 10.0, "D": 10.0}),
+        ("capitals", {"A": 1.0, "B": 10.0, "C": 10.0, "D": -1.0}),
     ],
 )
 def test_load_scenario_rejects_bad_values(tmp_path, field, value):

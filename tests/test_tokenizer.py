@@ -232,6 +232,16 @@ HYPOTHESIS = settings(max_examples=300, deadline=None, suppress_health_check=[He
 @example(text="year,bank_i,bank_j,weight\n2014,A,B,1\n2014,A,C,-2\n2015,A,D,1\n", block=2)
 @example(text="year,bank_i,bank_j,weight\n2014,A,B,1\n2015,A,C,1\n2015,A,D,1\n20x4,B,C,1\n", block=64)
 @example(text="year,bank_i,bank_j,weight\n2014,A,B,1\n20x4,A,C,1\n20x4,A,D,1\n", block=64)
+# faults in one block, the earliest row's named: a bad year text after a
+# second year, a bad weight before a second year, a self-loop after a bad
+# weight and in the row of one, a second year in the row of a self-loop;
+# then a second year in a later block
+@example(text="year,bank_i,bank_j,weight\n2014,A,B,1\n2015,A,C,1\n20x4,B,C,1\n", block=64)
+@example(text="year,bank_i,bank_j,weight\n2014,A,B,1\n2014,A,C,x\n2015,B,C,1\n", block=64)
+@example(text="year,bank_i,bank_j,weight\n2014,A,B,1\n2014,A,C,-1\n2014,C,C,1\n", block=64)
+@example(text="year,bank_i,bank_j,weight\n2014,A,B,1\n2014,C,C,1_0\n", block=64)
+@example(text="year,bank_i,bank_j,weight\n2014,A,B,1\n2015,C,C,1\n", block=64)
+@example(text="year,bank_i,bank_j,weight\n2014,A,B,1\n2014,A,C,1\n2015,B,C,1\n", block=1)
 def test_edge_reader_matches_the_row_by_row_reader(text, block):
     new, old = read_both(graph_from_edge_csv, reference_graph_from_edge_csv, text, block)
     assert graph_bits(new) == graph_bits(old)
